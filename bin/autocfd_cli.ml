@@ -47,6 +47,13 @@ let read_file path =
   close_in ic;
   s
 
+(* the Fortran source being compiled, named in located diagnostics *)
+let source_path = ref "-"
+
+let read_source path =
+  source_path := path;
+  read_file path
+
 let parse_parts s =
   try
     let parts =
@@ -122,7 +129,7 @@ let resolve_spec ?parts ?nprocs ?(no_fission = false) ?engine spec_file =
   |> (engine |? Autocfd.Runspec.with_engine)
 
 let load_and_plan spec file =
-  let t = D.load ~spec (read_file file) in
+  let t = D.load ~spec (read_source file) in
   (t, D.plan ~spec t)
 
 let shape parts =
@@ -232,13 +239,17 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
     cache_dir =
   let module J = Obs.Json in
   let module Sched = Autocfd_sched in
-  let source = read_file file in
+  let source = read_source file in
   let tracer = if json then Some (Obs.Trace.create ()) else None in
   let run_spec =
     Autocfd.Runspec.with_tracer tracer
       (resolve_spec ?parts ?nprocs ~no_fission ?engine spec_file)
   in
   let engine = run_spec.Autocfd.Runspec.engine in
+  (* planned before the job so source diagnostics reach the command line
+     instead of becoming a failed job *)
+  let t = D.load ~spec:run_spec source in
+  let plan = D.plan ~spec:run_spec t in
   let job =
     Sched.Job.make
       ~label:(Printf.sprintf "run %s" (Filename.basename file))
@@ -252,8 +263,6 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
              ("src", J.Str (Sched.Job.digest source));
            ])
       (fun () ->
-        let t = D.load ~spec:run_spec source in
-        let plan = D.plan ~spec:run_spec t in
         let seq = D.run_seq t in
         let par = D.run ~spec:run_spec plan in
         (* a Domains run is additionally held to bit-identity against
@@ -550,7 +559,7 @@ let tune file spec_file grid json jobs workers use_cache cache_dir =
   let module T = Autocfd.Tune in
   let sw, fabric = make_sweep ~jobs ~workers ~use_cache ~cache_dir in
   let base = resolve_spec spec_file in
-  let source = read_file file in
+  let source = read_source file in
   (* wide-grid Domains points execute the program for real; narrower
      grids are pure model predictions *)
   let measure_source = match grid with T.Wide -> Some source | _ -> None in
@@ -845,7 +854,22 @@ let demo_cmd =
 let () =
   let doc = "Auto-CFD: parallelizing pre-compiler for Fortran CFD programs" in
   let info = Cmd.info "autocfd" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info
-                    [ analyze_cmd; parallelize_cmd; run_cmd_; trace_cmd_;
-                      profile_cmd_; report_cmd; tables_cmd; tune_cmd;
-                      worker_cmd; demo_cmd ]))
+  let cmd =
+    Cmd.group info
+      [ analyze_cmd; parallelize_cmd; run_cmd_; trace_cmd_; profile_cmd_;
+        report_cmd; tables_cmd; tune_cmd; worker_cmd; demo_cmd ]
+  in
+  (* a malformed source is the user's error, not an internal one: report
+     it located and exit 2 *)
+  exit
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Autocfd_fortran.Loc.Error (loc, msg) ->
+        Printf.eprintf "%s:%d:%d: %s\n" !source_path
+          loc.Autocfd_fortran.Loc.line loc.Autocfd_fortran.Loc.col msg;
+        2
+    | exception e ->
+        Printf.eprintf "autocfd: internal error, uncaught exception:\n%s\n%s"
+          (Printexc.to_string e)
+          (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

@@ -1,4 +1,4 @@
-type token = { tok : Token.t; tline : int }
+type token = { tok : Token.t; tline : int; tcol : int }
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
@@ -26,8 +26,9 @@ let dot_word_at s i =
   else None
 
 (* Lex a number starting at [i]; stops before a dot-operator such as the
-   ".lt." in "1.lt.2".  Returns (token, next index). *)
-let lex_number line s i =
+   ".lt." in "1.lt.2".  Returns (token, next index).  [col0] is the source
+   column of [s.[0]]. *)
+let lex_number ~col0 line s i =
   let n = String.length s in
   let j = ref i in
   while !j < n && is_digit s.[!j] do incr j done;
@@ -59,22 +60,26 @@ let lex_number line s i =
     in
     match float_of_string_opt text with
     | Some f -> (Token.Real f, !j)
-    | None -> Loc.errorf (Loc.make line i) "malformed real literal %S" text
+    | None ->
+        Loc.errorf (Loc.make line (col0 + i)) "malformed real literal %S" text
   else
     match int_of_string_opt text with
     | Some k -> (Token.Int k, !j)
-    | None -> Loc.errorf (Loc.make line i) "malformed integer literal %S" text
+    | None ->
+        Loc.errorf (Loc.make line (col0 + i)) "malformed integer literal %S"
+          text
 
-let tokens_of_line line s =
+let tokens_of_line ?(col0 = 1) line s =
   let n = String.length s in
   let out = ref [] in
-  let emit tok = out := { tok; tline = line } :: !out in
   let i = ref 0 in
+  let here () = Loc.make line (col0 + !i) in
+  let emit tok = out := { tok; tline = line; tcol = col0 + !i } :: !out in
   while !i < n do
     let c = s.[!i] in
     if c = ' ' || c = '\t' then incr i
     else if is_digit c then begin
-      let tok, j = lex_number line s !i in
+      let tok, j = lex_number ~col0 line s !i in
       emit tok;
       i := j
     end
@@ -105,7 +110,7 @@ let tokens_of_line line s =
         end
       done;
       if not !closed then
-        Loc.errorf (Loc.make line !i) "unterminated string literal";
+        Loc.errorf (here ()) "unterminated string literal";
       emit (Token.Str (Buffer.contents buf));
       i := !j
     end
@@ -118,11 +123,11 @@ let tokens_of_line line s =
           if !i + 1 < n && is_digit s.[!i + 1] then begin
             (* leading-dot real like .5e3 — lex_number handles it since its
                integer-part loop accepts zero digits *)
-            let tok, j = lex_number line s !i in
+            let tok, j = lex_number ~col0 line s !i in
             emit tok;
             i := j
           end
-          else Loc.errorf (Loc.make line !i) "unexpected '.'"
+          else Loc.errorf (here ()) "unexpected '.'"
     end
     else begin
       let two = if !i + 1 < n then String.sub s !i 2 else "" in
@@ -145,7 +150,7 @@ let tokens_of_line line s =
           | '=' -> emit Token.Assign
           | '<' -> emit Token.Lt
           | '>' -> emit Token.Gt
-          | _ -> Loc.errorf (Loc.make line !i) "unexpected character %C" c);
+          | _ -> Loc.errorf (here ()) "unexpected character %C" c);
           incr i)
     end
   done;
@@ -244,7 +249,8 @@ let assemble source =
   flush_pending ();
   (List.rev !logical, List.rev !directives)
 
-(* Extract a leading statement label: digits followed by whitespace. *)
+(* Extract a leading statement label: digits followed by whitespace.
+   Returns the label with its 1-based column, and the rest of the line. *)
 let split_label s =
   let n = String.length s in
   let i = ref 0 in
@@ -253,7 +259,7 @@ let split_label s =
   while !i < n && is_digit s.[!i] do incr i done;
   if !i > start && !i < n && (s.[!i] = ' ' || s.[!i] = '\t') then
     let label = int_of_string (String.sub s start (!i - start)) in
-    (Some label, String.sub s !i (n - !i))
+    (Some (label, start + 1), String.sub s !i (n - !i))
   else (None, s)
 
 let tokenize source =
@@ -262,13 +268,15 @@ let tokenize source =
     List.concat_map
       (fun { rline; rtext } ->
         let label, rest = split_label rtext in
+        let n = String.length rtext in
         let lead =
           match label with
-          | Some l -> [ { tok = Token.Label l; tline = rline } ]
+          | Some (l, tcol) -> [ { tok = Token.Label l; tline = rline; tcol } ]
           | None -> []
         in
-        lead @ tokens_of_line rline rest
-        @ [ { tok = Token.Newline; tline = rline } ])
+        lead
+        @ tokens_of_line ~col0:(n - String.length rest + 1) rline rest
+        @ [ { tok = Token.Newline; tline = rline; tcol = n + 1 } ])
       logical
   in
-  (toks @ [ { tok = Token.Eof; tline = 0 } ], directives)
+  (toks @ [ { tok = Token.Eof; tline = 0; tcol = 0 } ], directives)

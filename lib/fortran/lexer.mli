@@ -5,7 +5,13 @@
     and statement labels), extracts [c$acfd] directives, then tokenizes each
     logical line, separating them with {!Token.Newline}. *)
 
-type token = { tok : Token.t; tline : int }
+type token = {
+  tok : Token.t;
+  tline : int;
+  tcol : int;
+      (** 1-based column in the statement's first source line (columns of
+          continuation-line tokens count on from its end) *)
+}
 
 val tokenize : string -> token list * Directive.t list
 (** [tokenize source] is the token stream (terminated by [Eof]) and the
@@ -13,6 +19,7 @@ val tokenize : string -> token list * Directive.t list
     @raise Loc.Error on malformed input.
     @raise Directive.Parse_error on a malformed directive. *)
 
-val tokens_of_line : int -> string -> token list
-(** Tokenize a single pre-assembled logical line (no newline/eof appended).
+val tokens_of_line : ?col0:int -> int -> string -> token list
+(** Tokenize a single pre-assembled logical line (no newline/eof appended);
+    [col0] (default 1) is the source column of the line's first character.
     Exposed for tests. *)

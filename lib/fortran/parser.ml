@@ -23,7 +23,8 @@ let next st =
   t.tok
 
 let error st fmt =
-  Loc.errorf (Loc.make (peek_line st) 0) fmt
+  let t = st.toks.(st.pos) in
+  Loc.errorf (Loc.make t.Lexer.tline t.Lexer.tcol) fmt
 
 let expect st tok =
   let got = peek st in
@@ -775,7 +776,7 @@ let parse_expr_string s =
   (* tokenize directly: [tokenize] would mistake a leading integer for a
      statement label *)
   let toks =
-    Lexer.tokens_of_line 1 s @ [ { Lexer.tok = Token.Eof; tline = 1 } ]
+    Lexer.tokens_of_line 1 s @ [ { Lexer.tok = Token.Eof; tline = 1; tcol = 0 } ]
   in
   let st = make_state toks in
   parse_expr st

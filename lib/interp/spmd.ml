@@ -195,63 +195,33 @@ let iter_box ranges f =
 let box_size ranges =
   Array.fold_left (fun acc (lo, hi) -> acc * max 0 (hi - lo + 1)) 1 ranges
 
-(* The array-dim ranges of the planes a given OWNER rank sends for one
-   transfer.  [ext] extends already-refreshed lower grid dimensions so that
-   diagonal (corner) stencil points are carried (sequenced exchange). *)
-let plane_ranges gi topo ~owner_rank (arr : Value.arr)
-    (xfer : Ast.transfer) ~ext_of_dim =
-  let sa =
-    match GI.find_status gi xfer.Ast.xfer_array with
-    | Some sa -> sa
-    | None -> invalid_arg ("Spmd: transfer of non-status " ^ xfer.Ast.xfer_array)
-  in
-  let block = Topology.block topo owner_rank in
-  Array.init (Value.rank arr) (fun k ->
-      let alo, ahi = arr.Value.bounds.(k) in
-      match sa.GI.sa_dims.(k) with
-      | None -> (alo, ahi) (* packed dimension: full extent *)
-      | Some g when g = xfer.Ast.xfer_dim ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          let lo, hi =
-            match xfer.Ast.xfer_dir with
-            | Ast.Dplus -> (max blo (bhi - xfer.Ast.xfer_depth + 1), bhi)
-            | Ast.Dminus -> (blo, min bhi (blo + xfer.Ast.xfer_depth - 1))
-          in
-          (max alo lo, min ahi hi)
-      | Some g ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          let ext = if g < xfer.Ast.xfer_dim then ext_of_dim g else 0 in
-          (max alo (blo - ext), min ahi (bhi + ext)))
+let status_dims gi what name =
+  match GI.find_status gi name with
+  | Some sa -> sa.GI.sa_dims
+  | None -> invalid_arg (Printf.sprintf "Spmd: %s of non-status %s" what name)
 
-(* ranges of the pipeline payload planes sent by [owner_rank]: the owned
-   boundary planes of the sweep dimension over the owned ranges of the
-   other status dimensions *)
-let pipe_ranges gi topo ~owner_rank (arr : Value.arr) ~dim ~dir ~depth array_name =
-  let sa =
-    match GI.find_status gi array_name with
-    | Some sa -> sa
-    | None -> invalid_arg ("Spmd: pipeline of non-status " ^ array_name)
-  in
-  let block = Topology.block topo owner_rank in
+(* The array-dim ranges of [owner]'s block of [arr]: packed dimensions at
+   full extent, grid dimension g widened by [ext g] halo cells — except
+   the [edge] dimension, narrowed to its [depth] owned boundary planes on
+   the [dir] side (the planes a halo or pipeline message carries). *)
+let block_ranges dims topo ~owner ?edge ?(ext = fun _ -> 0) (arr : Value.arr) =
+  let block = Topology.block topo owner in
   Array.init (Value.rank arr) (fun k ->
       let alo, ahi = arr.Value.bounds.(k) in
-      match sa.GI.sa_dims.(k) with
+      match dims.(k) with
       | None -> (alo, ahi)
-      | Some g when g = dim ->
-          let blo = block.Autocfd_partition.Block.lo.(g)
-          and bhi = block.Autocfd_partition.Block.hi.(g) in
-          let lo, hi =
-            match dir with
-            | Ast.Dplus -> (max blo (bhi - depth + 1), bhi)
-            | Ast.Dminus -> (blo, min bhi (blo + depth - 1))
-          in
-          (max alo lo, min ahi hi)
       | Some g ->
           let blo = block.Autocfd_partition.Block.lo.(g)
           and bhi = block.Autocfd_partition.Block.hi.(g) in
-          (max alo blo, min ahi bhi))
+          let lo, hi =
+            match edge with
+            | Some (d, Ast.Dplus, depth) when d = g ->
+                (max blo (bhi - depth + 1), bhi)
+            | Some (d, Ast.Dminus, depth) when d = g ->
+                (blo, min bhi (blo + depth - 1))
+            | _ -> (blo - ext g, bhi + ext g)
+          in
+          (max alo lo, min ahi hi))
 
 (* ------------------------------------------------------------------ *)
 (* Cached message plans                                                *)
@@ -469,12 +439,6 @@ type 'm iface = {
       (* per-nest execution profile; [] on engines without one *)
 }
 
-(* keep at most this many checkpoint generations per rank: after a crash,
-   surviving ranks may have raced ahead past further sync points before
-   stalling, so the common restore point can lie a little behind their
-   newest snapshot *)
-let snapshot_history = 3
-
 (* ------------------------------------------------------------------ *)
 (* Plan construction (engine-independent)                              *)
 (* ------------------------------------------------------------------ *)
@@ -487,16 +451,9 @@ let topo_neighbor topo ~rank dim dir =
   in
   Topology.neighbor topo ~rank ~dim ~dir:d
 
-let build_exchange_plan :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    rank:int ->
-    'm ->
-    Ast.transfer list ->
-    plan =
- fun iface ~gi ~topo ~rank m transfers ->
+(* [array name] is the rank's copy of an array: every rank allocates
+   full-extent arrays, so only the boxes differ between ranks *)
+let build_exchange_plan ~gi ~topo ~rank array transfers =
   let transfers =
     List.sort
       (fun (a : Ast.transfer) b ->
@@ -514,144 +471,85 @@ let build_exchange_plan :
   P_exchange
     (List.map
        (fun (xfer : Ast.transfer) ->
-         let arr = iface.i_array m xfer.Ast.xfer_array in
-         let send =
-           match topo_neighbor topo ~rank xfer.Ast.xfer_dim xfer.Ast.xfer_dir with
-           | Some dest ->
-               Some
-                 ( dest,
-                   plan_of arr
-                     (plane_ranges gi topo ~owner_rank:rank arr xfer
-                        ~ext_of_dim) )
-           | None -> None
-         in
-         let recv =
-           match
-             topo_neighbor topo ~rank xfer.Ast.xfer_dim
-               (opposite_dir xfer.Ast.xfer_dir)
-           with
-           | Some src ->
-               Some
-                 ( src,
-                   plan_of arr
-                     (plane_ranges gi topo ~owner_rank:src arr xfer
-                        ~ext_of_dim) )
-           | None -> None
+         let name = xfer.Ast.xfer_array and dim = xfer.Ast.xfer_dim in
+         let arr = array name in
+         (* the planes [owner] sends; already-refreshed lower grid
+            dimensions are extended so that diagonal (corner) stencil
+            points are carried (sequenced exchange) *)
+         let planes owner =
+           plan_of arr
+             (block_ranges (status_dims gi "transfer" name) topo ~owner
+                ~edge:(dim, xfer.Ast.xfer_dir, xfer.Ast.xfer_depth)
+                ~ext:(fun g -> if g < dim then ext_of_dim g else 0)
+                arr)
          in
          {
-           xp_array = xfer.Ast.xfer_array;
-           xp_dim = xfer.Ast.xfer_dim;
-           xp_send = send;
-           xp_recv = recv;
+           xp_array = name;
+           xp_dim = dim;
+           xp_send =
+             Option.map
+               (fun dest -> (dest, planes rank))
+               (topo_neighbor topo ~rank dim xfer.Ast.xfer_dir);
+           xp_recv =
+             Option.map
+               (fun src -> (src, planes src))
+               (topo_neighbor topo ~rank dim (opposite_dir xfer.Ast.xfer_dir));
          })
        transfers)
 
-let build_pipe_plan :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    rank:int ->
-    recv:bool ->
-    dim:int ->
-    dir:Ast.direction ->
-    'm ->
-    (string * int) list ->
-    plan =
- fun iface ~gi ~topo ~rank ~recv ~dim ~dir m arrays ->
+(* the pipeline payload: the owned boundary planes of the sweep dimension
+   over the owned ranges of the other status dimensions *)
+let build_pipe_plan ~gi ~topo ~rank ~recv ~dim ~dir array arrays =
   let peer_dir = if recv then opposite_dir dir else dir in
   P_pipe
-    (match topo_neighbor topo ~rank dim peer_dir with
-    | None -> None
-    | Some peer ->
-        Some
-          ( peer,
-            List.map
-              (fun (name, depth) ->
-                let arr = iface.i_array m name in
-                let owner = if recv then peer else rank in
-                ( name,
-                  plan_of arr
-                    (pipe_ranges gi topo ~owner_rank:owner arr ~dim ~dir
-                       ~depth name) ))
-              arrays ))
+    (Option.map
+       (fun peer ->
+         let owner = if recv then peer else rank in
+         ( peer,
+           List.map
+             (fun (name, depth) ->
+               let arr = array name in
+               ( name,
+                 plan_of arr
+                   (block_ranges (status_dims gi "pipeline" name) topo ~owner
+                      ~edge:(dim, dir, depth) arr) ))
+             arrays ))
+       (topo_neighbor topo ~rank dim peer_dir))
 
-let build_allgather_plan :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    rank:int ->
-    nranks:int ->
-    'm ->
-    string list ->
-    plan =
- fun iface ~gi ~topo ~rank ~nranks m arrays ->
-  let owned_offsets owner arr name =
-    let sa =
-      match GI.find_status gi name with
-      | Some sa -> sa
-      | None -> invalid_arg ("Spmd: allgather of non-status " ^ name)
-    in
-    let b = Topology.block topo owner in
-    plan_of arr
-      (Array.init (Value.rank arr) (fun k ->
-           let alo, ahi = arr.Value.bounds.(k) in
-           match sa.GI.sa_dims.(k) with
-           | None -> (alo, ahi)
-           | Some g ->
-               ( max alo b.Autocfd_partition.Block.lo.(g),
-                 min ahi b.Autocfd_partition.Block.hi.(g) )))
-  in
+let build_allgather_plan ~gi ~topo ~rank ~nranks array arrays =
   P_allgather
     (List.map
        (fun name ->
-         let arr = iface.i_array m name in
-         let mine = owned_offsets rank arr name in
+         let arr = array name in
+         let owned owner =
+           plan_of arr
+             (block_ranges (status_dims gi "allgather" name) topo ~owner arr)
+         in
          let peers =
            Array.init nranks (fun peer ->
-               if peer = rank then plan_of_offsets [||]
-               else owned_offsets peer arr name)
+               if peer = rank then plan_of_offsets [||] else owned peer)
          in
-         (name, mine, peers))
+         (name, owned rank, peers))
        arrays)
 
 (* assemble the final global state from the per-rank machines: status
    arrays stitched from their owners' blocks, scalars from rank 0 *)
-let gather_results :
-    'm.
-    'm iface ->
-    gi:GI.t ->
-    topo:Topology.t ->
-    nranks:int ->
-    machine:(int -> 'm) ->
-    Ast.program_unit ->
-    (string * Value.arr) list * (string * Value.scalar) list =
- fun iface ~gi ~topo ~nranks ~machine u ->
+let gather_results iface ~gi ~topo ~nranks ~machine u =
   let m0 = machine 0 in
   let gathered =
     List.map
       (fun name ->
-        let a0 = iface.i_array m0 name in
-        match GI.find_status gi name with
-        | None -> (name, Value.copy a0)
+        let out = Value.copy (iface.i_array m0 name) in
+        (match GI.find_status gi name with
+        | None -> ()
         | Some sa ->
-            let out = Value.copy a0 in
             for r = 0 to nranks - 1 do
               let src = iface.i_array (machine r) name in
-              let block = Topology.block topo r in
-              let ranges =
-                Array.init (Value.rank src) (fun k ->
-                    let alo, ahi = src.Value.bounds.(k) in
-                    match sa.GI.sa_dims.(k) with
-                    | None -> (alo, ahi)
-                    | Some g ->
-                        ( max alo block.Autocfd_partition.Block.lo.(g),
-                          min ahi block.Autocfd_partition.Block.hi.(g) ))
-              in
-              iter_box ranges (fun idx -> Value.set out idx (Value.get src idx))
-            done;
-            (name, out))
+              iter_box
+                (block_ranges sa.GI.sa_dims topo ~owner:r src)
+                (fun idx -> Value.set out idx (Value.get src idx))
+            done);
+        (name, out))
       (iface.i_array_names m0)
   in
   let scalars =
@@ -665,462 +563,6 @@ let gather_results :
       u.Ast.u_decls
   in
   (gathered, scalars)
-
-let run_with : 'm. 'm iface -> etag:string -> config -> Ast.program_unit -> result =
- fun iface ~etag config u ->
-  let topo = config.topo and gi = config.gi in
-  let nranks = Topology.nranks topo in
-  let machines = Array.make nranks None in
-  let flops_per_rank = Array.make nranks 0.0 in
-  let endpoints : Reliable.t option array = Array.make nranks None in
-  (* per-rank checkpoint generations, most recent first; persists across
-     restart attempts *)
-  let snapshots : snapshot list array = Array.make nranks [] in
-  let saved = ref 0 and restored = ref 0 in
-  let output_prefix = ref [] in
-  let nranks_total = nranks in
-  let sync_tbl =
-    match config.tracer with
-    | None -> Hashtbl.create 1
-    | Some _ -> sync_points u
-  in
-  (* newest visit count for which EVERY rank holds a snapshot: checkpoint
-     decisions are deterministic in the visit counter, so a snapshot at
-     visit v on one rank implies every rank that reached v also took one *)
-  let restore_of () =
-    if Array.exists (fun l -> l = []) snapshots then None
-    else
-      let target =
-        Array.fold_left
-          (fun acc l -> min acc (List.hd l).ck_visits)
-          max_int snapshots
-      in
-      let picked =
-        Array.map
-          (List.find_opt (fun s -> s.ck_visits = target))
-          snapshots
-      in
-      if Array.for_all Option.is_some picked then
-        Some (Array.map Option.get picked)
-      else None
-  in
-  let attempt restore =
-    Array.fill machines 0 nranks None;
-    Array.fill flops_per_rank 0 nranks 0.0;
-    Array.fill endpoints 0 nranks None;
-    let restore_target =
-      match restore with
-      | Some snaps ->
-          output_prefix := snaps.(0).ck_output;
-          snaps.(0).ck_visits
-      | None ->
-          output_prefix := [];
-          0
-    in
-  let body (c : Sim.comm) =
-    let r = Sim.rank c in
-    let block = Topology.block topo r in
-    let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
-    (* reliable transport: only paid for when faults are injected *)
-    let ep =
-      match config.faults with
-      | Some _ -> Some (Reliable.create c)
-      | None -> None
-    in
-    endpoints.(r) <- ep;
-    let p2p_send ~dest ~tag payload =
-      match ep with
-      | Some e -> Reliable.send e ~dest ~tag payload
-      | None -> Sim.send c ~dest ~tag payload
-    in
-    let p2p_recv ~src ~tag =
-      match ep with
-      | Some e -> Reliable.recv e ~src ~tag
-      | None -> Sim.recv c ~src ~tag
-    in
-    let flush () = match ep with Some e -> Reliable.flush e | None -> () in
-    (* recovery replay state: count sync-point visits (identical sequence
-       on every rank); until the restore target is reached, communication
-       is suppressed and the unit replays on local data only *)
-    let visits = ref 0 in
-    let pipe_open = ref 0 in
-    let live = ref (restore_target = 0) in
-    (* lazy compute-time accounting: charge accumulated flops before any
-       blocking operation *)
-    let last_flops = ref 0.0 in
-    let machine_ref = ref None in
-    let charge () =
-      match !machine_ref with
-      | None -> ()
-      | Some m ->
-          let f = iface.i_flops m in
-          let delta = f -. !last_flops in
-          last_flops := f;
-          if !live && config.flop_time > 0.0 then
-            Sim.advance c (delta *. config.flop_time)
-    in
-    let get_machine () = Option.get !machine_ref in
-    let trace_ckpt ~save ~bytes =
-      match config.tracer with
-      | Some tr ->
-          let now = Sim.time c in
-          Trace.record tr ~rank:r ~t0:now ~t1:now
-            (Trace.Checkpoint { save; bytes })
-      | None -> ()
-    in
-    (* checkpoint I/O priced at the stable store's bandwidth (node-local
-       storage, not the cluster interconnect) *)
-    let ckpt_cost bytes =
-      let bw =
-        match config.recovery with
-        | Some rc -> rc.rc_bandwidth
-        | None -> default_recovery.rc_bandwidth
-      in
-      float_of_int bytes /. bw
-    in
-    let maybe_restore m =
-      if (not !live) && !visits >= restore_target then begin
-        (match restore with
-        | Some snaps ->
-            let s = snaps.(r) in
-            List.iter (fun (n, v) -> iface.i_set_scalar m n v) s.ck_scalars;
-            List.iter
-              (fun (n, data) ->
-                let dst = (iface.i_array m n).Value.data in
-                Array.blit data 0 dst 0 (Array.length data))
-              s.ck_arrays;
-            last_flops := iface.i_flops m;
-            let bytes = snapshot_bytes s in
-            Sim.advance c (ckpt_cost bytes);
-            trace_ckpt ~save:false ~bytes;
-            if r = 0 then incr restored
-        | None -> ());
-        live := true
-      end
-    in
-    let maybe_checkpoint m =
-      match config.recovery with
-      | Some rc
-        when rc.rc_every > 0 && !pipe_open = 0
-             && !visits mod rc.rc_every = 0 ->
-          let s =
-            {
-              ck_visits = !visits;
-              ck_scalars =
-                List.filter
-                  (fun (_, v) ->
-                    match v with Value.Str _ -> false | _ -> true)
-                  (iface.i_scalar_bindings m);
-              ck_arrays =
-                List.map
-                  (fun n ->
-                    (n, Array.copy (iface.i_array m n).Value.data))
-                  (iface.i_array_names m);
-              ck_output =
-                (if r = 0 then !output_prefix @ iface.i_output m else []);
-            }
-          in
-          snapshots.(r) <-
-            s
-            :: (List.filter (fun o -> o.ck_visits < s.ck_visits) snapshots.(r)
-               |> List.filteri (fun i _ -> i < snapshot_history - 1));
-          if r = 0 then incr saved;
-          let bytes = snapshot_bytes s in
-          Sim.advance c (ckpt_cost bytes);
-          trace_ckpt ~save:true ~bytes
-      | _ -> ()
-    in
-    (* run a communication hook body inside its sync-point phase: set the
-       rank's sync context (so simulator events recorded within attribute
-       their messages and blocked time to this point) and emit the phase
-       span tagged with the enclosing loop variable and iteration *)
-    let traced m sid f =
-      match config.tracer with
-      | None -> f ()
-      | Some tr -> (
-          match Hashtbl.find_opt sync_tbl sid with
-          | None -> f ()
-          | Some si ->
-              let iter =
-                match si.si_loop with
-                | None -> None
-                | Some v -> (
-                    match iface.i_scalar m v with
-                    | Value.Int i -> Some i
-                    | Value.Real x -> Some (int_of_float x)
-                    | Value.Bool _ | Value.Str _ -> None
-                    | exception Machine.Runtime_error _ -> None)
-              in
-              let t0 = Sim.time c in
-              Trace.set_sync tr ~rank:r ~sync:si.si_id;
-              Fun.protect
-                ~finally:(fun () -> Trace.clear_sync tr ~rank:r)
-                f;
-              Trace.phase tr ~rank:r ~t0 ~t1:(Sim.time c) ~sync:si.si_id
-                ~label:si.si_label ?loop:si.si_loop ?iter ())
-    in
-    let exchange_plan m sid transfers =
-      match Hashtbl.find_opt plans sid with
-      | Some (P_exchange p) -> p
-      | _ ->
-          let p =
-            cached_plan ~etag ~topo ~rank:r ~sid (fun () ->
-                build_exchange_plan iface ~gi ~topo ~rank:r m transfers)
-          in
-          Hashtbl.replace plans sid p;
-          (match p with P_exchange l -> l | _ -> assert false)
-    in
-    let do_exchange m sid transfers =
-      List.iter
-        (fun xp ->
-          let data = (iface.i_array m xp.xp_array).Value.data in
-          (* send my boundary planes towards xfer_dir, then receive the
-             matching planes from the opposite neighbor *)
-          (match xp.xp_send with
-          | Some (dest, p) ->
-              p2p_send ~dest ~tag:tag_exchange (pack p data)
-          | None -> ());
-          match xp.xp_recv with
-          | Some (src, p) ->
-              let payload = p2p_recv ~src ~tag:tag_exchange in
-              if Array.length payload <> p.pp_total then
-                failwith "Spmd: halo exchange size mismatch";
-              unpack p data payload
-          | None -> ())
-        (exchange_plan m sid transfers)
-    in
-    let pipe_plan ~recv m sid ~dim ~dir arrays =
-      match Hashtbl.find_opt plans sid with
-      | Some (P_pipe p) -> p
-      | _ ->
-          let p =
-            cached_plan ~etag ~topo ~rank:r ~sid (fun () ->
-                build_pipe_plan iface ~gi ~topo ~rank:r ~recv ~dim ~dir m
-                  arrays)
-          in
-          Hashtbl.replace plans sid p;
-          (match p with P_pipe o -> o | _ -> assert false)
-    in
-    let do_pipe ~recv m sid ~dim ~dir arrays =
-      (* recv: wait for the upstream neighbor's fresh planes before the
-         sweep; send: forward my downstream boundary after it *)
-      match pipe_plan ~recv m sid ~dim ~dir arrays with
-      | None -> ()
-      | Some (peer, per_array) ->
-          List.iter
-            (fun (name, p) ->
-              let data = (iface.i_array m name).Value.data in
-              if recv then begin
-                let payload = p2p_recv ~src:peer ~tag:tag_pipe in
-                if Array.length payload <> p.pp_total then
-                  failwith "Spmd: pipeline message size mismatch";
-                unpack p data payload
-              end
-              else p2p_send ~dest:peer ~tag:tag_pipe (pack p data))
-            per_array
-    in
-    let allgather_plan m sid arrays =
-      match Hashtbl.find_opt plans sid with
-      | Some (P_allgather p) -> p
-      | _ ->
-          let p =
-            cached_plan ~etag ~topo ~rank:r ~sid (fun () ->
-                build_allgather_plan iface ~gi ~topo ~rank:r
-                  ~nranks:nranks_total m arrays)
-          in
-          Hashtbl.replace plans sid p;
-          (match p with P_allgather l -> l | _ -> assert false)
-    in
-    let do_allgather m sid arrays =
-      (* exchange owned regions with every other rank so each rank holds
-         the full fresh array *)
-      List.iter
-        (fun (name, mine, peers) ->
-          let data = (iface.i_array m name).Value.data in
-          let payload = pack mine data in
-          for peer = 0 to nranks_total - 1 do
-            if peer <> r then p2p_send ~dest:peer ~tag:tag_gather payload
-          done;
-          for peer = 0 to nranks_total - 1 do
-            if peer <> r then begin
-              let p = peers.(peer) in
-              let pl = p2p_recv ~src:peer ~tag:tag_gather in
-              if Array.length pl <> p.pp_total then
-                failwith "Spmd: allgather size mismatch";
-              unpack p data pl
-            end
-          done)
-        (allgather_plan m sid arrays)
-    in
-    let hooks =
-      {
-        g_block =
-          (fun d ->
-            (block.Autocfd_partition.Block.lo.(d),
-             block.Autocfd_partition.Block.hi.(d)));
-        g_comm =
-          (fun m ~sid comm ->
-            charge ();
-            incr visits;
-            if not !live then maybe_restore m
-            else begin
-              (* an unacknowledged envelope must not survive into a
-                 collective: its sender would park where no retransmit can
-                 happen *)
-              (match comm with
-              | Ast.Allreduce_max _ | Ast.Allreduce_min _
-              | Ast.Allreduce_sum _ | Ast.Broadcast _ | Ast.Barrier ->
-                  flush ()
-              | Ast.Exchange _ | Ast.Allgather _ -> ());
-              traced m sid (fun () ->
-                  match comm with
-                  | Ast.Exchange ts -> do_exchange m sid ts
-                  | Ast.Allreduce_max v ->
-                      let x = Value.to_float (iface.i_scalar m v) in
-                      iface.i_set_scalar m v
-                        (Value.Real (Sim.allreduce c `Max x))
-                  | Ast.Allreduce_min v ->
-                      let x = Value.to_float (iface.i_scalar m v) in
-                      iface.i_set_scalar m v
-                        (Value.Real (Sim.allreduce c `Min x))
-                  | Ast.Allreduce_sum v ->
-                      let x = Value.to_float (iface.i_scalar m v) in
-                      iface.i_set_scalar m v
-                        (Value.Real (Sim.allreduce c `Sum x))
-                  | Ast.Broadcast vars ->
-                      let data =
-                        if r = 0 then
-                          Array.of_list
-                            (List.map
-                               (fun v -> Value.to_float (iface.i_scalar m v))
-                               vars)
-                        else Array.make (List.length vars) 0.0
-                      in
-                      let data = Sim.bcast c ~root:0 data in
-                      List.iteri
-                        (fun i v ->
-                          iface.i_set_scalar m v (Value.Real data.(i)))
-                        vars
-                  | Ast.Allgather arrays -> do_allgather m sid arrays
-                  | Ast.Barrier -> Sim.barrier c);
-              maybe_checkpoint m
-            end);
-        g_pipe_recv =
-          (fun m ~sid ~dim ~dir arrays ->
-            charge ();
-            incr visits;
-            (* a pipeline stream is now mid-flight: the matching send sits
-               at a LATER visit on the upstream rank, so a cut here would
-               not be consistent — no checkpoint until it closes *)
-            incr pipe_open;
-            if not !live then maybe_restore m
-            else
-              traced m sid (fun () ->
-                  do_pipe ~recv:true m sid ~dim ~dir arrays));
-        g_pipe_send =
-          (fun m ~sid ~dim ~dir arrays ->
-            charge ();
-            incr visits;
-            decr pipe_open;
-            if not !live then maybe_restore m
-            else begin
-              traced m sid (fun () ->
-                  do_pipe ~recv:false m sid ~dim ~dir arrays);
-              maybe_checkpoint m
-            end);
-        g_read =
-          (fun m n ->
-            charge ();
-            incr visits;
-            if not !live then begin
-              (* replay: every rank reads its own copy of the input list —
-                 same values the broadcast delivered, no communication *)
-              let data = iface.i_read0 m n in
-              maybe_restore m;
-              data
-            end
-            else begin
-              flush ();
-              let data =
-                if r = 0 then iface.i_read0 m n else Array.make n 0.0
-              in
-              let out = Sim.bcast c ~root:0 data in
-              maybe_checkpoint m;
-              out
-            end);
-        g_write =
-          (fun m values -> if !live && r = 0 then iface.i_write0 m values);
-      }
-    in
-    let m = iface.i_spawn hooks config.input in
-    machine_ref := Some m;
-    machines.(r) <- Some m;
-    iface.i_run m;
-    if not !live then
-      failwith
-        "Spmd: restart replay never reached the checkpointed sync point \
-         (control flow depends on communication results?)";
-    charge ();
-    flush ();
-    flops_per_rank.(r) <- iface.i_flops (get_machine ());
-    (* per-nest profile summaries: one Kernel event per executed nest,
-       spanning [0, self-time] on the virtual clock.  Emitted after the
-       run so they are summaries, not timeline slices — Metrics folds
-       them into its kernel table instead of the rank accounting *)
-    match config.tracer with
-    | None -> ()
-    | Some tr ->
-        List.iter
-          (fun (k : Compile.kernel_stat) ->
-            if k.Compile.ks_calls > 0 then
-              Trace.record tr ~rank:r ~t0:0.0
-                ~t1:(k.Compile.ks_flops *. config.flop_time)
-                (kernel_event k))
-          (iface.i_kernels (get_machine ()))
-  in
-  Sim.run ~net:config.net ?tracer:config.tracer ?faults:config.faults
-    ~nranks body
-  in
-  let max_restarts =
-    match config.recovery with Some rc -> rc.rc_max_restarts | None -> 0
-  in
-  let rec attempts restarts =
-    let restore = if restarts = 0 then None else restore_of () in
-    match attempt restore with
-    | stats -> (stats, restarts)
-    | exception Sim.Timeout msg ->
-        if restarts >= max_restarts then raise (Sim.Timeout msg)
-        else attempts (restarts + 1)
-  in
-  let stats, restarts = attempts 0 in
-  let machine r = Option.get machines.(r) in
-  let m0 = machine 0 in
-  let gathered, scalars = gather_results iface ~gi ~topo ~nranks ~machine u in
-  let resilience =
-    let sum f =
-      Array.fold_left
-        (fun acc ep ->
-          match ep with Some e -> acc + f (Reliable.stats e) | None -> acc)
-        0 endpoints
-    in
-    {
-      rs_restarts = restarts;
-      rs_checkpoints = !saved;
-      rs_restores = !restored;
-      rs_retransmits = sum (fun s -> s.Reliable.rl_retransmits);
-      rs_dup_suppressed = sum (fun s -> s.Reliable.rl_dup_suppressed);
-      rs_checksum_failures = sum (fun s -> s.Reliable.rl_checksum_failures);
-    }
-  in
-  {
-    stats;
-    output = !output_prefix @ iface.i_output m0;
-    gathered;
-    scalars;
-    flops_per_rank;
-    resilience;
-    domains = None;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Engine wiring                                                       *)
@@ -1185,19 +627,108 @@ let compiled_iface ?(fuse = false) (u : Ast.program_unit) :
   }
 
 (* ------------------------------------------------------------------ *)
-(* Domains engine: real parallel execution on OCaml 5 domains          *)
+(* Per-rank comm backends                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* one wall-clock sync-point span, buffered per rank during the run (the
-   tracer is not thread-safe) and replayed after the domains are joined *)
-type pending_phase = {
-  pe_t0 : float;
-  pe_t1 : float;
-  pe_sync : int;
-  pe_label : string;
-  pe_loop : string option;
-  pe_iter : int option;
+(* What the rank body needs from one rank's transport.  The simulator
+   backend moves every transfer as a message priced on the virtual clock;
+   the shared-memory backend blits halos straight out of the peers'
+   arrays and measures wall time. *)
+type backend = {
+  b_time : unit -> float;
+  b_barrier : unit -> unit;
+  b_allreduce : [ `Max | `Min | `Sum ] -> float -> float;
+  b_bcast : float array -> float array;  (* rooted at rank 0 *)
+  b_send : dest:int -> tag:int -> float array -> unit;
+  b_recv : src:int -> tag:int -> float array;
+  b_exchange : (string -> float array) -> xfer_plan list -> unit;
+  b_allgather :
+    (string -> float array) -> (string * pack_plan * pack_plan array) list ->
+    unit;
+  b_start : unit -> unit;  (* the rank's machine is published *)
+  b_enter : float -> unit;
+      (* a hook (or the end of the run) is reached after this many more
+         flops of compute *)
+  b_leave : unit -> unit;  (* the hook returns; compute resumes *)
+  b_phase : Trace.t -> sync_info -> int option -> (unit -> unit) -> unit;
+      (* run a hook's communication as its sync point's phase span *)
+  b_flush : unit -> unit;  (* settle reliable delivery before a collective *)
+  b_advance : float -> unit;  (* charge seconds of checkpoint I/O *)
 }
+
+let unpack_checked what p data payload =
+  if Array.length payload <> p.pp_total then
+    failwith ("Spmd: " ^ what ^ " size mismatch");
+  unpack p data payload
+
+(* With a fault plan, point-to-point traffic travels over {!Reliable}; it
+   is only paid for when faults are injected. *)
+let sim_backend config ~ep c =
+  let rank = Sim.rank c and nranks = Sim.nranks c in
+  let send ~dest ~tag payload =
+    match ep with
+    | Some e -> Reliable.send e ~dest ~tag payload
+    | None -> Sim.send c ~dest ~tag payload
+  in
+  let recv ~src ~tag =
+    match ep with
+    | Some e -> Reliable.recv e ~src ~tag
+    | None -> Sim.recv c ~src ~tag
+  in
+  {
+    b_time = (fun () -> Sim.time c);
+    b_barrier = (fun () -> Sim.barrier c);
+    b_allreduce = Sim.allreduce c;
+    b_bcast = Sim.bcast c ~root:0;
+    b_send = send;
+    b_recv = recv;
+    b_exchange =
+      (fun data ->
+        (* send my boundary planes towards xfer_dir, then receive the
+           matching planes from the opposite neighbor *)
+        List.iter (fun xp ->
+            let data = data xp.xp_array in
+            (match xp.xp_send with
+            | Some (dest, p) -> send ~dest ~tag:tag_exchange (pack p data)
+            | None -> ());
+            match xp.xp_recv with
+            | Some (src, p) ->
+                unpack_checked "halo exchange" p data
+                  (recv ~src ~tag:tag_exchange)
+            | None -> ()));
+    b_allgather =
+      (fun data ->
+        (* exchange owned regions with every other rank so each rank holds
+           the full fresh array *)
+        List.iter (fun (name, mine, peers) ->
+            let data = data name in
+            let payload = pack mine data in
+            for peer = 0 to nranks - 1 do
+              if peer <> rank then send ~dest:peer ~tag:tag_gather payload
+            done;
+            for peer = 0 to nranks - 1 do
+              if peer <> rank then
+                unpack_checked "allgather" peers.(peer) data
+                  (recv ~src:peer ~tag:tag_gather)
+            done));
+    b_start = ignore;
+    b_enter =
+      (fun flops ->
+        if config.flop_time > 0.0 then
+          Sim.advance c (flops *. config.flop_time));
+    b_leave = ignore;
+    b_phase =
+      (fun tr si iter f ->
+        (* the rank's sync context makes simulator events recorded within
+           attribute their messages and blocked time to this point *)
+        let t0 = Sim.time c in
+        Trace.set_sync tr ~rank ~sync:si.si_id;
+        Fun.protect ~finally:(fun () -> Trace.clear_sync tr ~rank) f;
+        Trace.phase tr ~rank ~t0 ~t1:(Sim.time c) ~sync:si.si_id
+          ~label:si.si_label ?loop:si.si_loop ?iter ());
+    b_flush = (fun () -> Option.iter Reliable.flush ep);
+    b_advance = Sim.advance c;
+  }
 
 (* split an exchange plan (sorted by dim) into its dim groups *)
 let dim_groups xps =
@@ -1218,10 +749,10 @@ let dim_groups xps =
 (* Every rank executes on its own domain; fields stay plain [float
    array]s, which the OCaml 5 shared heap makes visible to every other
    domain, so a halo exchange is a bounds-checked blit straight out of
-   the neighbour's array.  The element offsets are the PR 3 pack plans:
-   both sides of a transfer compute identical offsets (all ranks allocate
-   full-extent arrays), so the simulator's pack -> message -> unpack
-   pipeline collapses to [dst.(o) <- src.(o)] over the recv plan.
+   the neighbour's array ([peer rank name]).  Both sides of a transfer
+   compute identical offsets (all ranks allocate full-extent arrays), so
+   the simulator's pack -> message -> unpack pipeline collapses to
+   [dst.(o) <- src.(o)] over the recv plan.
 
    Ordering protocol: a barrier opens every exchange (the neighbours'
    producing compute must be complete) and closes every dim group —
@@ -1231,243 +762,502 @@ let dim_groups xps =
    boundary, plus lower-dim halo written in earlier groups) are disjoint,
    so no intra-group fence is needed.  Collectives run through {!Shm},
    whose allreduce folds contributions in rank order with exactly the
-   simulator's combine — the whole run is bit-identical to [Fused]. *)
-let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
- fun iface config u ->
+   simulator's combine — the whole run is bit-identical to [Fused].
+
+   The backend accumulates the rank's compute wall seconds (time outside
+   hooks) into [compute], (bytes copied, seconds) of every halo episode
+   into [samples], and buffers phase spans into [pending]: the tracer is
+   not thread-safe, so they are replayed after the join. *)
+let shm_backend ~peer ~compute ~samples ~pending c =
+  let rank = Shm.rank c and nranks = Shm.nranks c in
+  let last = ref 0.0 and t_in = ref 0.0 in
+  let copied = ref 0 and halo = ref false in
+  let blit_in p ~src ~dst =
+    if Array.length src <> Array.length dst then
+      failwith "Spmd: halo blit shape mismatch";
+    if p.pp_blit then
+      Array.iter
+        (fun (start, len) -> Array.blit src start dst start len)
+        p.pp_segs
+    else begin
+      let offs = p.pp_offs in
+      for i = 0 to p.pp_total - 1 do
+        let o = offs.(i) in
+        dst.(o) <- src.(o)
+      done
+    end;
+    copied := !copied + (8 * p.pp_total)
+  in
+  {
+    b_time = (fun () -> Shm.time c);
+    b_barrier = (fun () -> Shm.barrier c);
+    b_allreduce = Shm.allreduce c;
+    b_bcast = Shm.bcast c ~root:0;
+    b_send = Shm.send c;
+    b_recv = Shm.recv c;
+    b_exchange =
+      (fun data xps ->
+        halo := true;
+        Shm.barrier c;
+        List.iter
+          (fun group ->
+            List.iter
+              (fun xp ->
+                match xp.xp_recv with
+                | Some (src, p) ->
+                    blit_in p ~src:(peer src xp.xp_array)
+                      ~dst:(data xp.xp_array)
+                | None -> ())
+              group;
+            Shm.barrier c)
+          (dim_groups xps));
+    b_allgather =
+      (fun data per_array ->
+        halo := true;
+        Shm.barrier c;
+        List.iter
+          (fun (name, _mine, peers) ->
+            let dst = data name in
+            for p = 0 to nranks - 1 do
+              if p <> rank then blit_in peers.(p) ~src:(peer p name) ~dst
+            done)
+          per_array;
+        Shm.barrier c);
+    b_start =
+      (fun () ->
+        (* publish before anyone's first exchange can read a peer's
+           array *)
+        Shm.barrier c;
+        last := Shm.time c);
+    b_enter =
+      (fun _flops ->
+        let t = Shm.time c in
+        compute.(rank) <- compute.(rank) +. (t -. !last);
+        t_in := t;
+        copied := 0;
+        halo := false);
+    b_leave =
+      (fun () ->
+        let t = Shm.time c in
+        if !halo then
+          samples.(rank) <- (!copied, t -. !t_in) :: samples.(rank);
+        last := t);
+    b_phase =
+      (fun _ si iter f ->
+        let t0 = Shm.time c in
+        f ();
+        pending.(rank) <- (si, iter, t0, Shm.time c) :: pending.(rank));
+    b_flush = ignore;
+    b_advance = ignore;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The rank body, shared by every engine                               *)
+(* ------------------------------------------------------------------ *)
+
+(* checkpoint/restart state of one run, shared by its ranks and kept
+   across restart attempts *)
+type store = {
+  mutable restore : snapshot array option;  (* this attempt resumes here *)
+  snapshots : snapshot list array;  (* per rank, most recent first *)
+  mutable saved : int;
+  mutable restored : int;
+}
+
+(* keep at most this many checkpoint generations per rank: after a crash,
+   surviving ranks may have raced ahead past further sync points before
+   stalling, so the common restore point can lie a little behind their
+   newest snapshot *)
+let snapshot_history = 3
+
+let create_store nranks =
+  { restore = None; snapshots = Array.make nranks []; saved = 0; restored = 0 }
+
+(* newest visit count for which EVERY rank holds a snapshot: checkpoint
+   decisions are deterministic in the visit counter, so a snapshot at
+   visit v on one rank implies every rank that reached v also took one *)
+let restore_point store =
+  let snapshots = store.snapshots in
+  if Array.exists (fun l -> l = []) snapshots then None
+  else
+    let target =
+      Array.fold_left
+        (fun acc l -> min acc (List.hd l).ck_visits)
+        max_int snapshots
+    in
+    let picked =
+      Array.map (List.find_opt (fun s -> s.ck_visits = target)) snapshots
+    in
+    if Array.for_all Option.is_some picked then
+      Some (Array.map Option.get picked)
+    else None
+
+(* One rank's execution of the SPMD unit over [be]: the rank's machine
+   runs with communication hooks that resolve each sync point's plan once
+   and drive the backend.  Recovery (Sim only) rides on the same hooks:
+   sync-point visits are counted, coordinated checkpoints taken, and a
+   restarted attempt replays the unit on local data with communication
+   suppressed until it reaches the restore point. *)
+let rank_body iface ~etag config ~sync_tbl ~store ~machines rank be =
+  let topo = config.topo and gi = config.gi in
+  let block = Topology.block topo rank in
+  let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
+  let plan sid build =
+    match Hashtbl.find_opt plans sid with
+    | Some p -> p
+    | None ->
+        let p = cached_plan ~etag ~topo ~rank ~sid build in
+        Hashtbl.replace plans sid p;
+        p
+  in
+  let array m name = iface.i_array m name in
+  let data m name = (array m name).Value.data in
+  let scalar m v = Value.to_float (iface.i_scalar m v) in
+  let allreduce m op v =
+    iface.i_set_scalar m v (Value.Real (be.b_allreduce op (scalar m v)))
+  in
+  let comm m sid = function
+    | Ast.Exchange ts -> (
+        match
+          plan sid (fun () -> build_exchange_plan ~gi ~topo ~rank (array m) ts)
+        with
+        | P_exchange xps -> be.b_exchange (data m) xps
+        | _ -> assert false)
+    | Ast.Allreduce_max v -> allreduce m `Max v
+    | Ast.Allreduce_min v -> allreduce m `Min v
+    | Ast.Allreduce_sum v -> allreduce m `Sum v
+    | Ast.Broadcast vars ->
+        let data =
+          if rank = 0 then Array.of_list (List.map (scalar m) vars)
+          else Array.make (List.length vars) 0.0
+        in
+        let data = be.b_bcast data in
+        List.iteri (fun i v -> iface.i_set_scalar m v (Value.Real data.(i))) vars
+    | Ast.Allgather arrays -> (
+        match
+          plan sid (fun () ->
+              build_allgather_plan ~gi ~topo ~rank
+                ~nranks:(Topology.nranks topo) (array m) arrays)
+        with
+        | P_allgather l -> be.b_allgather (data m) l
+        | _ -> assert false)
+    | Ast.Barrier -> be.b_barrier ()
+  in
+  let pipe ~recv m sid ~dim ~dir arrays =
+    (* recv: wait for the upstream neighbor's fresh planes before the
+       sweep; send: forward my downstream boundary after it *)
+    match
+      plan sid (fun () ->
+          build_pipe_plan ~gi ~topo ~rank ~recv ~dim ~dir (array m) arrays)
+    with
+    | P_pipe None -> ()
+    | P_pipe (Some (peer, per_array)) ->
+        List.iter
+          (fun (name, p) ->
+            let data = data m name in
+            if recv then
+              unpack_checked "pipeline message" p data
+                (be.b_recv ~src:peer ~tag:tag_pipe)
+            else be.b_send ~dest:peer ~tag:tag_pipe (pack p data))
+          per_array
+    | _ -> assert false
+  in
+  (* the phase span is tagged with the enclosing loop variable and its
+     current iteration *)
+  let traced m sid f =
+    match config.tracer with
+    | None -> f ()
+    | Some tr -> (
+        match Hashtbl.find_opt sync_tbl sid with
+        | None -> f ()
+        | Some si ->
+            let iter =
+              match si.si_loop with
+              | None -> None
+              | Some v -> (
+                  match iface.i_scalar m v with
+                  | Value.Int i -> Some i
+                  | Value.Real x -> Some (int_of_float x)
+                  | Value.Bool _ | Value.Str _ -> None
+                  | exception Machine.Runtime_error _ -> None)
+            in
+            be.b_phase tr si iter f)
+  in
+  (* recovery replay state: sync-point visits come in the same sequence
+     on every rank; until the restore target is reached, communication is
+     suppressed and the unit replays on local data only *)
+  let restore_target, prefix =
+    match store.restore with
+    | Some snaps -> (snaps.(0).ck_visits, snaps.(0).ck_output)
+    | None -> (0, [])
+  in
+  let visits = ref 0 and pipe_open = ref 0 in
+  let live = ref (restore_target = 0) in
+  let last_flops = ref 0.0 in
+  (* checkpoint I/O priced at the stable store's bandwidth (node-local
+     storage, not the cluster interconnect) *)
+  let checkpoint_io ~save s =
+    let bytes = snapshot_bytes s in
+    let bw =
+      match config.recovery with
+      | Some rc -> rc.rc_bandwidth
+      | None -> default_recovery.rc_bandwidth
+    in
+    be.b_advance (float_of_int bytes /. bw);
+    match config.tracer with
+    | Some tr ->
+        let now = be.b_time () in
+        Trace.record tr ~rank ~t0:now ~t1:now (Trace.Checkpoint { save; bytes })
+    | None -> ()
+  in
+  let maybe_restore m =
+    if !visits >= restore_target then begin
+      (match store.restore with
+      | Some snaps ->
+          let s = snaps.(rank) in
+          List.iter (fun (n, v) -> iface.i_set_scalar m n v) s.ck_scalars;
+          List.iter
+            (fun (n, d) -> Array.blit d 0 (data m n) 0 (Array.length d))
+            s.ck_arrays;
+          last_flops := iface.i_flops m;
+          checkpoint_io ~save:false s;
+          if rank = 0 then store.restored <- store.restored + 1
+      | None -> ());
+      live := true
+    end
+  in
+  let maybe_checkpoint m =
+    match config.recovery with
+    | Some rc
+      when rc.rc_every > 0 && !pipe_open = 0 && !visits mod rc.rc_every = 0 ->
+        let s =
+          {
+            ck_visits = !visits;
+            ck_scalars =
+              List.filter
+                (fun (_, v) -> match v with Value.Str _ -> false | _ -> true)
+                (iface.i_scalar_bindings m);
+            ck_arrays =
+              List.map
+                (fun n -> (n, Array.copy (data m n)))
+                (iface.i_array_names m);
+            ck_output = (if rank = 0 then prefix @ iface.i_output m else []);
+          }
+        in
+        store.snapshots.(rank) <-
+          s
+          :: (List.filter (fun o -> o.ck_visits < s.ck_visits)
+                store.snapshots.(rank)
+             |> List.filteri (fun i _ -> i < snapshot_history - 1));
+        if rank = 0 then store.saved <- store.saved + 1;
+        checkpoint_io ~save:true s
+    | _ -> ()
+  in
+  (* a sync-point visit: hand the backend the compute done since the
+     previous one and report whether the hook communicates — not while
+     replaying towards the restore point *)
+  let enter m =
+    let f = iface.i_flops m in
+    let flops = f -. !last_flops in
+    last_flops := f;
+    incr visits;
+    if !live then begin
+      be.b_enter flops;
+      true
+    end
+    else begin
+      maybe_restore m;
+      false
+    end
+  in
+  let hooks =
+    {
+      g_block =
+        (fun d ->
+          (block.Autocfd_partition.Block.lo.(d),
+           block.Autocfd_partition.Block.hi.(d)));
+      g_comm =
+        (fun m ~sid c ->
+          if enter m then begin
+            (* an unacknowledged envelope must not survive into a
+               collective: its sender would park where no retransmit can
+               happen *)
+            (match c with
+            | Ast.Exchange _ | Ast.Allgather _ -> ()
+            | _ -> be.b_flush ());
+            traced m sid (fun () -> comm m sid c);
+            maybe_checkpoint m;
+            be.b_leave ()
+          end);
+      g_pipe_recv =
+        (fun m ~sid ~dim ~dir arrays ->
+          (* a pipeline stream is now mid-flight: the matching send sits
+             at a LATER visit on the upstream rank, so a cut here would
+             not be consistent — no checkpoint until it closes *)
+          incr pipe_open;
+          if enter m then begin
+            traced m sid (fun () -> pipe ~recv:true m sid ~dim ~dir arrays);
+            be.b_leave ()
+          end);
+      g_pipe_send =
+        (fun m ~sid ~dim ~dir arrays ->
+          decr pipe_open;
+          if enter m then begin
+            traced m sid (fun () -> pipe ~recv:false m sid ~dim ~dir arrays);
+            maybe_checkpoint m;
+            be.b_leave ()
+          end);
+      g_read =
+        (fun m n ->
+          if enter m then begin
+            be.b_flush ();
+            let out =
+              be.b_bcast
+                (if rank = 0 then iface.i_read0 m n else Array.make n 0.0)
+            in
+            maybe_checkpoint m;
+            be.b_leave ();
+            out
+          end
+          else
+            (* replay: every rank reads its own copy of the input list —
+               same values the broadcast delivered, no communication *)
+            iface.i_read0 m n);
+      g_write =
+        (fun m values -> if !live && rank = 0 then iface.i_write0 m values);
+    }
+  in
+  let m = iface.i_spawn hooks config.input in
+  machines.(rank) <- Some m;
+  be.b_start ();
+  iface.i_run m;
+  if not !live then
+    failwith
+      "Spmd: restart replay never reached the checkpointed sync point \
+       (control flow depends on communication results?)";
+  be.b_enter (iface.i_flops m -. !last_flops);
+  be.b_flush ()
+
+let sync_table config u =
+  match config.tracer with None -> Hashtbl.create 1 | Some _ -> sync_points u
+
+(* The result of a finished run, from its published machines.  Each
+   executed nest's profile becomes one Kernel summary event spanning
+   [0, flops * secs_per_flop]; emitted after the run, they are summaries,
+   not timeline slices — Metrics folds them into its kernel table instead
+   of the rank accounting. *)
+let collect iface config u ~machines ~wall ~secs_per_flop stats =
+  let nranks = Array.length machines in
+  let machine r = Option.get machines.(r) in
+  Option.iter
+    (fun tr ->
+      for r = 0 to nranks - 1 do
+        let ks = iface.i_kernels (machine r) in
+        let rate = secs_per_flop r ks in
+        List.iter
+          (fun (k : Compile.kernel_stat) ->
+            if k.Compile.ks_calls > 0 then
+              Trace.record tr ~wall ~rank:r ~t0:0.0
+                ~t1:(k.Compile.ks_flops *. rate)
+                (kernel_event k))
+          ks
+      done)
+    config.tracer;
+  let gathered, scalars =
+    gather_results iface ~gi:config.gi ~topo:config.topo ~nranks ~machine u
+  in
+  {
+    stats;
+    output = iface.i_output (machine 0);
+    gathered;
+    scalars;
+    flops_per_rank = Array.init nranks (fun r -> iface.i_flops (machine r));
+    resilience = no_resilience;
+    domains = None;
+  }
+
+(* the simulated cluster, restarting from the newest consistent
+   checkpoint while a crashed rank surfaces as [Sim.Timeout] *)
+let run_sim iface ~etag config u =
+  let nranks = Topology.nranks config.topo in
+  let sync_tbl = sync_table config u in
+  let machines = Array.make nranks None in
+  let endpoints : Reliable.t option array = Array.make nranks None in
+  let store = create_store nranks in
+  let attempt () =
+    Array.fill machines 0 nranks None;
+    Array.fill endpoints 0 nranks None;
+    Sim.run ~net:config.net ?tracer:config.tracer ?faults:config.faults
+      ~nranks (fun c ->
+        let ep = Option.map (fun _ -> Reliable.create c) config.faults in
+        endpoints.(Sim.rank c) <- ep;
+        rank_body iface ~etag config ~sync_tbl ~store ~machines (Sim.rank c)
+          (sim_backend config ~ep c))
+  in
+  let max_restarts =
+    match config.recovery with Some rc -> rc.rc_max_restarts | None -> 0
+  in
+  let rec attempts restarts =
+    store.restore <- (if restarts = 0 then None else restore_point store);
+    match attempt () with
+    | stats -> (stats, restarts)
+    | exception Sim.Timeout msg ->
+        if restarts >= max_restarts then raise (Sim.Timeout msg)
+        else attempts (restarts + 1)
+  in
+  let stats, restarts = attempts 0 in
+  let res =
+    collect iface config u ~machines ~wall:false
+      ~secs_per_flop:(fun _ _ -> config.flop_time)
+      stats
+  in
+  let sum f =
+    Array.fold_left
+      (fun acc ep ->
+        match ep with Some e -> acc + f (Reliable.stats e) | None -> acc)
+      0 endpoints
+  in
+  {
+    res with
+    output =
+      (match store.restore with Some s -> s.(0).ck_output | None -> [])
+      @ res.output;
+    resilience =
+      {
+        rs_restarts = restarts;
+        rs_checkpoints = store.saved;
+        rs_restores = store.restored;
+        rs_retransmits = sum (fun s -> s.Reliable.rl_retransmits);
+        rs_dup_suppressed = sum (fun s -> s.Reliable.rl_dup_suppressed);
+        rs_checksum_failures = sum (fun s -> s.Reliable.rl_checksum_failures);
+      };
+  }
+
+(* real parallel execution, one OCaml 5 domain per rank; the simulated
+   stats are synthesized from the measured wall clock *)
+let run_shm iface config u =
   if config.faults <> None then
     invalid_arg "Spmd: the Domains engine does not support fault injection";
   if config.recovery <> None then
     invalid_arg "Spmd: the Domains engine does not support recovery";
-  let etag = "domains" in
-  let topo = config.topo and gi = config.gi in
-  let nranks = Topology.nranks topo in
+  let nranks = Topology.nranks config.topo in
+  let sync_tbl = sync_table config u in
   let machines = Array.make nranks None in
-  let flops_per_rank = Array.make nranks 0.0 in
-  let compute_wall = Array.make nranks 0.0 in
-  let comm_samples : (int * float) list array = Array.make nranks [] in
-  let pending : pending_phase list array = Array.make nranks [] in
-  let sync_tbl =
-    match config.tracer with
-    | None -> Hashtbl.create 1
-    | Some _ -> sync_points u
+  let compute = Array.make nranks 0.0 in
+  let samples = Array.make nranks [] in
+  let pending = Array.make nranks [] in
+  let peer p name =
+    match machines.(p) with
+    | Some m -> (iface.i_array m name).Value.data
+    | None -> failwith "Spmd: Domains peer machine not published"
   in
-  let body (c : Shm.comm) =
-    let r = Shm.rank c in
-    let block = Topology.block topo r in
-    let plans : (int, plan) Hashtbl.t = Hashtbl.create 16 in
-    let last = ref 0.0 in
-    let compute = ref 0.0 in
-    let copy_bytes = ref 0 in
-    let samples = ref [] in
-    (* close the open compute interval at a communication hook; reopen
-       it when the hook returns *)
-    let enter () =
-      let t = Shm.time c in
-      compute := !compute +. (t -. !last);
-      t
-    in
-    let leave () = last := Shm.time c in
-    let peer_data name peer =
-      match machines.(peer) with
-      | Some m -> (iface.i_array m name).Value.data
-      | None -> failwith "Spmd: Domains peer machine not published"
-    in
-    let blit_in p ~src ~dst =
-      if Array.length src <> Array.length dst then
-        failwith "Spmd: halo blit shape mismatch";
-      if p.pp_blit then
-        Array.iter
-          (fun (start, len) -> Array.blit src start dst start len)
-          p.pp_segs
-      else begin
-        let offs = p.pp_offs in
-        for i = 0 to p.pp_total - 1 do
-          let o = offs.(i) in
-          dst.(o) <- src.(o)
-        done
-      end;
-      copy_bytes := !copy_bytes + (8 * p.pp_total)
-    in
-    let get_plan sid build extract =
-      match Hashtbl.find_opt plans sid with
-      | Some p -> extract p
-      | None ->
-          let p = cached_plan ~etag ~topo ~rank:r ~sid build in
-          Hashtbl.replace plans sid p;
-          extract p
-    in
-    let do_exchange m sid transfers =
-      let xps =
-        get_plan sid
-          (fun () -> build_exchange_plan iface ~gi ~topo ~rank:r m transfers)
-          (function P_exchange l -> l | _ -> assert false)
-      in
-      Shm.barrier c;
-      List.iter
-        (fun group ->
-          List.iter
-            (fun xp ->
-              match xp.xp_recv with
-              | Some (src, p) ->
-                  blit_in p ~src:(peer_data xp.xp_array src)
-                    ~dst:(iface.i_array m xp.xp_array).Value.data
-              | None -> ())
-            group;
-          Shm.barrier c)
-        (dim_groups xps)
-    in
-    let do_allgather m sid arrays =
-      let per_array =
-        get_plan sid
-          (fun () ->
-            build_allgather_plan iface ~gi ~topo ~rank:r ~nranks m arrays)
-          (function P_allgather l -> l | _ -> assert false)
-      in
-      Shm.barrier c;
-      List.iter
-        (fun (name, _mine, peers) ->
-          let dst = (iface.i_array m name).Value.data in
-          for peer = 0 to nranks - 1 do
-            if peer <> r then blit_in peers.(peer) ~src:(peer_data name peer) ~dst
-          done)
-        per_array;
-      Shm.barrier c
-    in
-    let do_pipe ~recv m sid ~dim ~dir arrays =
-      let p =
-        get_plan sid
-          (fun () ->
-            build_pipe_plan iface ~gi ~topo ~rank:r ~recv ~dim ~dir m arrays)
-          (function P_pipe o -> o | _ -> assert false)
-      in
-      match p with
-      | None -> ()
-      | Some (peer, per_array) ->
-          List.iter
-            (fun (name, p) ->
-              let data = (iface.i_array m name).Value.data in
-              if recv then begin
-                let payload = Shm.recv c ~src:peer ~tag:tag_pipe in
-                if Array.length payload <> p.pp_total then
-                  failwith "Spmd: pipeline message size mismatch";
-                unpack p data payload
-              end
-              else Shm.send c ~dest:peer ~tag:tag_pipe (pack p data))
-            per_array
-    in
-    let traced m sid f =
-      match config.tracer with
-      | None -> f ()
-      | Some _ -> (
-          match Hashtbl.find_opt sync_tbl sid with
-          | None -> f ()
-          | Some si ->
-              let iter =
-                match si.si_loop with
-                | None -> None
-                | Some v -> (
-                    match iface.i_scalar m v with
-                    | Value.Int i -> Some i
-                    | Value.Real x -> Some (int_of_float x)
-                    | Value.Bool _ | Value.Str _ -> None
-                    | exception Machine.Runtime_error _ -> None)
-              in
-              let t0 = Shm.time c in
-              f ();
-              pending.(r) <-
-                {
-                  pe_t0 = t0;
-                  pe_t1 = Shm.time c;
-                  pe_sync = si.si_id;
-                  pe_label = si.si_label;
-                  pe_loop = si.si_loop;
-                  pe_iter = iter;
-                }
-                :: pending.(r))
-    in
-    let hooks =
-      {
-        g_block =
-          (fun d ->
-            (block.Autocfd_partition.Block.lo.(d),
-             block.Autocfd_partition.Block.hi.(d)));
-        g_comm =
-          (fun m ~sid comm ->
-            let t_in = enter () in
-            let b0 = !copy_bytes in
-            traced m sid (fun () ->
-                match comm with
-                | Ast.Exchange ts -> do_exchange m sid ts
-                | Ast.Allreduce_max v ->
-                    let x = Value.to_float (iface.i_scalar m v) in
-                    iface.i_set_scalar m v
-                      (Value.Real (Shm.allreduce c `Max x))
-                | Ast.Allreduce_min v ->
-                    let x = Value.to_float (iface.i_scalar m v) in
-                    iface.i_set_scalar m v
-                      (Value.Real (Shm.allreduce c `Min x))
-                | Ast.Allreduce_sum v ->
-                    let x = Value.to_float (iface.i_scalar m v) in
-                    iface.i_set_scalar m v
-                      (Value.Real (Shm.allreduce c `Sum x))
-                | Ast.Broadcast vars ->
-                    let data =
-                      if r = 0 then
-                        Array.of_list
-                          (List.map
-                             (fun v -> Value.to_float (iface.i_scalar m v))
-                             vars)
-                      else Array.make (List.length vars) 0.0
-                    in
-                    let data = Shm.bcast c ~root:0 data in
-                    List.iteri
-                      (fun i v -> iface.i_set_scalar m v (Value.Real data.(i)))
-                      vars
-                | Ast.Allgather arrays -> do_allgather m sid arrays
-                | Ast.Barrier -> Shm.barrier c);
-            (match comm with
-            | Ast.Exchange _ | Ast.Allgather _ ->
-                samples :=
-                  (!copy_bytes - b0, Shm.time c -. t_in) :: !samples
-            | _ -> ());
-            leave ());
-        g_pipe_recv =
-          (fun m ~sid ~dim ~dir arrays ->
-            ignore (enter () : float);
-            traced m sid (fun () -> do_pipe ~recv:true m sid ~dim ~dir arrays);
-            leave ());
-        g_pipe_send =
-          (fun m ~sid ~dim ~dir arrays ->
-            ignore (enter () : float);
-            traced m sid (fun () ->
-                do_pipe ~recv:false m sid ~dim ~dir arrays);
-            leave ());
-        g_read =
-          (fun m n ->
-            ignore (enter () : float);
-            let data =
-              if r = 0 then iface.i_read0 m n else Array.make n 0.0
-            in
-            let out = Shm.bcast c ~root:0 data in
-            leave ();
-            out);
-        g_write = (fun m values -> if r = 0 then iface.i_write0 m values);
-      }
-    in
-    let m = iface.i_spawn hooks config.input in
-    machines.(r) <- Some m;
-    (* publish before anyone's first exchange can read a peer's array *)
-    Shm.barrier c;
-    last := Shm.time c;
-    iface.i_run m;
-    let t_end = Shm.time c in
-    compute := !compute +. (t_end -. !last);
-    compute_wall.(r) <- !compute;
-    comm_samples.(r) <- List.rev !samples;
-    flops_per_rank.(r) <- iface.i_flops m
-  in
+  let store = create_store nranks in
   let shm =
-    try Shm.run ~nranks body
+    try
+      Shm.run ~nranks (fun c ->
+          rank_body iface ~etag:"domains" config ~sync_tbl ~store ~machines
+            (Shm.rank c)
+            (shm_backend ~peer ~compute ~samples ~pending c))
     with Shm.Rank_failure (r, e) -> raise (Sim.Rank_failure (r, e))
   in
   let ranks = shm.Shm.ranks in
@@ -1485,7 +1275,6 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
         Array.map (fun rs -> rs.Shm.rs_barrier_wait +. rs.Shm.rs_recv_wait) ranks;
     }
   in
-  let machine r = Option.get machines.(r) in
   (match config.tracer with
   | None -> ()
   | Some tr ->
@@ -1493,10 +1282,9 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
       Array.iteri
         (fun r pend ->
           List.iter
-            (fun pe ->
-              Trace.phase tr ~wall:true ~rank:r ~t0:pe.pe_t0 ~t1:pe.pe_t1
-                ~sync:pe.pe_sync ~label:pe.pe_label ?loop:pe.pe_loop
-                ?iter:pe.pe_iter ())
+            (fun (si, iter, t0, t1) ->
+              Trace.phase tr ~wall:true ~rank:r ~t0 ~t1 ~sync:si.si_id
+                ~label:si.si_label ?loop:si.si_loop ?iter ())
             (List.rev pend))
         pending;
       Array.iteri
@@ -1512,53 +1300,32 @@ let run_domains : 'm. 'm iface -> config -> Ast.program_unit -> result =
                        tag = (if w.Shm.w_barrier then -1 else tag_pipe);
                      }))
             rs.Shm.rs_waits)
-        ranks;
-      (* kernel summaries in measured wall seconds: the rank's compute
-         wall split across nests by their flop shares *)
-      Array.iteri
-        (fun r _ ->
-          let ks = iface.i_kernels (machine r) in
-          let total =
-            List.fold_left (fun a k -> a +. k.Compile.ks_flops) 0.0 ks
-          in
-          List.iter
-            (fun (k : Compile.kernel_stat) ->
-              if k.Compile.ks_calls > 0 then begin
-                let frac =
-                  if total > 0.0 then k.Compile.ks_flops /. total else 0.0
-                in
-                Trace.record tr ~wall:true ~rank:r ~t0:0.0
-                  ~t1:(compute_wall.(r) *. frac)
-                  (kernel_event k)
-              end)
-            ks)
-        machines);
-  let m0 = machine 0 in
-  let gathered, scalars = gather_results iface ~gi ~topo ~nranks ~machine u in
-  let dstats =
-    {
-      ds_wall = shm.Shm.elapsed;
-      ds_rank_wall = Array.map (fun rs -> rs.Shm.rs_wall) ranks;
-      ds_compute = Array.copy compute_wall;
-      ds_barrier_wait = Array.map (fun rs -> rs.Shm.rs_barrier_wait) ranks;
-      ds_barrier_calls = ranks.(0).Shm.rs_barrier_calls;
-      ds_flops = Array.copy flops_per_rank;
-      ds_comm_samples = List.concat (Array.to_list comm_samples);
-    }
+        ranks);
+  (* kernel summaries in measured wall seconds: the rank's compute wall
+     split across nests by their flop shares *)
+  let secs_per_flop r ks =
+    let total = List.fold_left (fun a k -> a +. k.Compile.ks_flops) 0.0 ks in
+    if total > 0.0 then compute.(r) /. total else 0.0
   in
+  let res = collect iface config u ~machines ~wall:true ~secs_per_flop stats in
   {
-    stats;
-    output = iface.i_output m0;
-    gathered;
-    scalars;
-    flops_per_rank;
-    resilience = no_resilience;
-    domains = Some dstats;
+    res with
+    domains =
+      Some
+        {
+          ds_wall = shm.Shm.elapsed;
+          ds_rank_wall = Array.map (fun rs -> rs.Shm.rs_wall) ranks;
+          ds_compute = Array.copy compute;
+          ds_barrier_wait = Array.map (fun rs -> rs.Shm.rs_barrier_wait) ranks;
+          ds_barrier_calls = ranks.(0).Shm.rs_barrier_calls;
+          ds_flops = Array.copy res.flops_per_rank;
+          ds_comm_samples = List.concat_map List.rev (Array.to_list samples);
+        };
   }
 
 let run ?(engine = Fused) config (u : Ast.program_unit) =
   match engine with
-  | Tree -> run_with (tree_iface u) ~etag:"tree" config u
-  | Compiled -> run_with (compiled_iface u) ~etag:"compiled" config u
-  | Fused -> run_with (compiled_iface ~fuse:true u) ~etag:"fused" config u
-  | Domains -> run_domains (compiled_iface ~fuse:true u) config u
+  | Tree -> run_sim (tree_iface u) ~etag:"tree" config u
+  | Compiled -> run_sim (compiled_iface u) ~etag:"compiled" config u
+  | Fused -> run_sim (compiled_iface ~fuse:true u) ~etag:"fused" config u
+  | Domains -> run_shm (compiled_iface ~fuse:true u) config u

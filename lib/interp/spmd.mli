@@ -1,12 +1,27 @@
-(** SPMD execution: runs the transformed parallel unit on every rank of the
-    simulated cluster, implementing the inserted communication statements
-    as halo exchanges, pipeline messages, reductions and broadcasts over
-    {!Autocfd_mpsim.Sim}.
+(** SPMD execution: runs the transformed parallel unit on every rank,
+    implementing the inserted communication statements as halo exchanges,
+    pipeline messages, reductions and broadcasts.
 
-    With a fault plan installed the executor becomes fault-tolerant:
+    Every engine runs one per-rank body.  It dispatches the communication
+    statements, resolves and caches each sync point's message plan, records
+    the phase spans, and gathers the result.  It drives one of two per-rank
+    comm backends:
+    - {!Autocfd_mpsim.Sim} (engines [Tree], [Compiled], [Fused]): a
+      simulated cluster on a virtual clock.  Halos are packed, sent,
+      received and unpacked.  Entering a hook charges the flops computed
+      since the last one to the rank's clock.
+    - {!Autocfd_mpsim.Shm} (engine [Domains]): one OCaml 5 domain per rank.
+      Halos are blitted out of the neighbours' arrays between barriers.
+      Entering and leaving a hook measure the compute interval and sample
+      each halo episode.  Phase spans are buffered and replayed on the
+      trace's wall-clock lane after the join.
+    Both backends supply the clock, barrier, allreduce, broadcast and the
+    pipeline send/recv.
+
+    On the simulator, a fault plan makes the executor fault-tolerant:
     point-to-point traffic travels over {!Reliable} (seq-numbered,
-    checksummed, acknowledged, retransmitted), and with [recovery] set the
-    run additionally takes coordinated checkpoints and restarts from the
+    checksummed, acknowledged, retransmitted).  With [recovery] set, the
+    run also takes coordinated checkpoints, and it restarts from the
     newest consistent one when a crashed rank surfaces as {!Sim.Timeout}. *)
 
 open Autocfd_fortran

@@ -13,20 +13,14 @@ let kind_of_code = function
   | 2 -> Some Nack
   | _ -> None
 
-(* FNV-1a 64 over the kind byte, the big-endian sequence and the payload
-   (same constants as Job.digest and Reliable's envelope checksum) *)
-let fnv_prime = 0x100000001b3L
-let fnv_basis = 0xcbf29ce484222325L
-
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
-
+(* FNV-1a 64 over the kind byte, the big-endian sequence and the payload *)
 let checksum ~kind ~seq payload =
-  let h = ref (fnv_byte fnv_basis (kind_code kind)) in
+  let byte h b = Autocfd_util.Fnv.mix h (Int64.of_int b) in
+  let h = ref (byte Autocfd_util.Fnv.basis (kind_code kind)) in
   for i = 7 downto 0 do
-    h := fnv_byte !h ((seq lsr (i * 8)) land 0xff)
+    h := byte !h ((seq lsr (i * 8)) land 0xff)
   done;
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) payload;
-  !h
+  Autocfd_util.Fnv.string !h payload
 
 let encode ~kind ~seq payload =
   let n = String.length payload in

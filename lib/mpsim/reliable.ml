@@ -89,11 +89,9 @@ let ack_tag t tag = tag + t.cfg.rt_ack_tag_base
    truncated to 53 bits so the checksum is an exact integer-valued float
    (bit-flips in the stored checksum itself then always mismatch). *)
 let checksum_env ~seq env ~off =
-  let h = ref 0xcbf29ce484222325L in
-  let mix x = h := Int64.mul (Int64.logxor !h x) 0x100000001b3L in
-  mix (Int64.of_int seq);
+  let h = ref (Autocfd_util.Fnv.mix Autocfd_util.Fnv.basis (Int64.of_int seq)) in
   for i = off to Array.length env - 1 do
-    mix (Int64.bits_of_float env.(i))
+    h := Autocfd_util.Fnv.mix !h (Int64.bits_of_float env.(i))
   done;
   Int64.to_float (Int64.shift_right_logical !h 11)
 

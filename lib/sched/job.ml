@@ -21,16 +21,6 @@ let make ?(version = code_version) ?spec ~label ~key run =
     jb_spec = spec;
   }
 
-(* FNV-1a, 64-bit *)
-let digest s =
-  let offset_basis = 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+let digest = Autocfd_util.Fnv.hex
 
 let cache_name job = digest (J.canonical job.jb_key)

@@ -156,6 +156,42 @@ let test_load_diagnostics () =
     | exception Failure _ -> true
     | _ -> false)
 
+let read_all path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* a malformed source through the real command line: the source verbs
+   report FILE:LINE:COL and exit 2 instead of an uncaught exception *)
+let test_cli_located_parse_error () =
+  (* cwd is _build/default/test under `dune runtest` *)
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/autocfd_cli.exe"; "_build/default/bin/autocfd_cli.exe" ]
+  with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+      let src = Filename.temp_file "autocfd_bad" ".f" in
+      let err = Filename.temp_file "autocfd_bad" ".err" in
+      let oc = open_out_bin src in
+      output_string oc "      program t\n      x = (1 + 2\n      end\n";
+      close_out oc;
+      List.iter
+        (fun verb ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s %s > /dev/null 2> %s" cli verb
+                 (Filename.quote src) (Filename.quote err))
+          in
+          Alcotest.(check int) (verb ^ ": exit code") 2 code;
+          Alcotest.(check string) (verb ^ ": diagnostic")
+            (src ^ ":2:17: expected ) but found <newline>\n")
+            (read_all err))
+        [ "parallelize"; "analyze"; "analyze --report"; "run --no-cache" ];
+      Sys.remove src;
+      Sys.remove err
+
 let test_infeasible_partition () =
   let t = D.load heat in
   Alcotest.(check bool) "too many parts" true
@@ -234,4 +270,5 @@ let suite =
     ("baseline gate", `Quick, test_baseline_gate);
     ("table 1 rows", `Slow, test_table1_rows);
     ("renderers", `Slow, test_renderers_nonempty);
+    ("cli located parse error", `Quick, test_cli_located_parse_error);
   ]

@@ -85,11 +85,14 @@ let check_both name src partitions =
    (gathered arrays, scalars, WRITE output, flop censuses) must be
    bit-identical to the simulator, but [stats] is measured wall clock and
    is excluded from the comparison *)
-let check_domains name src parts =
+let check_domains ?(input = []) name src parts =
   let t = D.load src in
   let plan = D.plan ~spec:(parts_spec parts) t in
-  let fused = D.run ~spec:(R.with_engine I.Spmd.Fused R.default) plan in
-  let r = D.run ~spec:(R.with_engine I.Spmd.Domains R.default) plan in
+  let run engine =
+    D.run ~spec:R.(default |> with_engine engine |> with_input input) plan
+  in
+  let fused = run I.Spmd.Fused in
+  let r = run I.Spmd.Domains in
   let ctx = Printf.sprintf "%s/domains %s" name (shape parts) in
   check_array_list "gathered" ctx fused.I.Spmd.gathered r.I.Spmd.gathered;
   Alcotest.(check bool)
@@ -156,6 +159,71 @@ let test_heat2d () =
 
 let test_domains_heat2d () =
   check_domains "heat2d" (read_file (heat2d_path ())) [| 2; 2 |]
+
+(* the bundled apps only exchange, allreduce and pipeline; READ's
+   broadcast and the serial-fallback allgather run on Domains here *)
+let test_domains_read_allgather () =
+  check_domains ~input:[ 2.5 ] "read broadcast" Test_spmd.read_broadcast_src
+    [| 3 |];
+  List.iter
+    (check_domains "serial fallback" Test_spmd.serial_fallback_src)
+    Test_spmd.serial_fallback_parts
+
+(* A traced Domains run records, per rank, the simulator's sequence of
+   sync-point phases, each as a wall-clock span; and Domains rejects the
+   simulator-only fault injection and recovery up front. *)
+let test_domains_trace_parity () =
+  let module Trace = Autocfd_obs.Trace in
+  let t =
+    D.load
+      (Autocfd_apps.Aerofoil.source ~ni:16 ~nj:10 ~nk:6 ~ntime:3 ~npres:2 ())
+  in
+  let spec engine = R.(default |> with_engine engine) in
+  let phases plan engine =
+    let tr = Trace.create () in
+    ignore (D.run ~spec:(R.with_tracer (Some tr) (spec engine)) plan);
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.Trace.ev_kind with
+        | Trace.Phase { label; loop; iter } ->
+            Some
+              ( e.Trace.ev_rank,
+                (e.Trace.ev_sync, label, loop, iter),
+                e.Trace.ev_wall )
+        | _ -> None)
+      (Trace.events tr)
+  in
+  List.iter
+    (fun (parts, nphases) ->
+      let ctx = shape parts in
+      let plan = D.plan ~spec:(parts_spec parts) t in
+      let fused = phases plan I.Spmd.Fused in
+      let dom = phases plan I.Spmd.Domains in
+      Alcotest.(check int) (ctx ^ ": phase count") nphases (List.length dom);
+      Alcotest.(check bool) (ctx ^ ": domains phases are wall clock") true
+        (List.for_all (fun (_, _, wall) -> wall) dom);
+      let of_rank r l =
+        List.filter_map (fun (r', key, _) -> if r' = r then Some key else None) l
+      in
+      for r = 0 to Autocfd_partition.Topology.nranks plan.D.topo - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: rank %d phase sequence" ctx r)
+          true
+          (of_rank r fused = of_rank r dom)
+      done)
+    [ ([| 2; 1; 1 |], 110); ([| 2; 2; 1 |], 316) ];
+  let plan = D.plan ~spec:(parts_spec [| 2; 1; 1 |]) t in
+  let domains_with f = D.run ~spec:(f (spec I.Spmd.Domains)) plan in
+  Alcotest.check_raises "recovery rejected"
+    (Invalid_argument "Spmd: the Domains engine does not support recovery")
+    (fun () ->
+      ignore (domains_with (R.with_recovery (Some I.Spmd.default_recovery))));
+  Alcotest.check_raises "faults rejected"
+    (Invalid_argument
+       "Spmd: the Domains engine does not support fault injection")
+    (fun () ->
+      let faults = Autocfd_mpsim.Fault.(make (spec ~seed:1 ())) in
+      ignore (domains_with (R.with_faults (Some faults))))
 
 (* flop-charge parity on a run with nontrivial timing: the simulated
    elapsed time is derived from the flop census, so charge drift would
@@ -414,6 +482,8 @@ let suite =
     ("domains sprayer identical", `Slow, test_domains_sprayer);
     ("domains aerofoil identical", `Slow, test_domains_aerofoil);
     ("domains heat2d identical", `Quick, test_domains_heat2d);
+    ("domains read + allgather identical", `Quick, test_domains_read_allgather);
+    ("domains trace parity + rejections", `Quick, test_domains_trace_parity);
     ("random nests three-way identical", `Slow, test_random_nests);
     ("fused kernel coverage 100%", `Quick, test_app_coverage);
   ]

@@ -511,9 +511,28 @@ let test_pretty_sched_annotations () =
     (String.length text > 0 && text.[0] = 'c')
 
 
+(* parser and lexer diagnostics point at the offending token's source
+   column, labels and leading blanks included *)
+let test_diagnostic_columns () =
+  List.iter
+    (fun (src, want_line, want_col) ->
+      match parse src with
+      | _ -> Alcotest.failf "%S parsed" src
+      | exception Loc.Error (loc, _) ->
+          Alcotest.(check (pair int int))
+            (String.escaped src) (want_line, want_col)
+            (loc.Loc.line, loc.Loc.col))
+    [
+      ("      program t\n      x = (1 + 2\n      end\n", 2, 17);
+      ("      program t\n  10  x = (1\n      end\n", 2, 13);
+      ("      program t\n      x = 1 # 2\n      end\n", 2, 13);
+      ("      program t\n      y = 'open\n      end\n", 2, 11);
+    ]
+
 let suite =
   [
     ("lex numbers", `Quick, test_lex_numbers);
+    ("diagnostic columns", `Quick, test_diagnostic_columns);
     ("lex operators", `Quick, test_lex_operators);
     ("lex strings", `Quick, test_lex_strings);
     ("lex continuation", `Quick, test_lex_continuation);

@@ -308,9 +308,9 @@ c$acfd status(u, w)
 |}
     [ [| 2; 1; 1 |]; [| 2; 2; 1 |]; [| 2; 2; 2 |]; [| 1; 1; 3 |] ]
 
-let test_read_broadcast () =
-  let src =
-    {|
+(* READ on rank 0, broadcast to every rank (also run on Domains) *)
+let read_broadcast_src =
+  {|
 c$acfd grid(m)
 c$acfd status(u)
       program t
@@ -328,8 +328,9 @@ c$acfd status(u)
       write(*,*) u(m/2)
       end
 |}
-  in
-  let t = D.load src in
+
+let test_read_broadcast () =
+  let t = D.load read_broadcast_src in
   let seq = D.run_seq ~spec:(Autocfd.Runspec.with_input [ 2.5 ] Autocfd.Runspec.default) t in
   let plan = D.plan ~spec:(parts_spec [| 3 |]) t in
   let par = D.run ~spec:(Autocfd.Runspec.with_input [ 2.5 ] Autocfd.Runspec.default) plan in
@@ -341,11 +342,11 @@ c$acfd status(u)
   in
   Alcotest.(check (float 0.0)) "equivalent" 0.0 d
 
-let test_serial_fallback_allgather () =
-  (* the diagonal-dependence loop must run serially under an i-cut and
-     still produce identical results thanks to the allgather *)
-  check_equiv "serial fallback"
-    {|
+(* the diagonal-dependence loop must run serially under an i-cut and
+   still produce identical results thanks to the allgather (also run on
+   Domains) *)
+let serial_fallback_src =
+  {|
 c$acfd grid(m, n)
 c$acfd status(v)
       program t
@@ -367,7 +368,11 @@ c$acfd status(v)
       write(*,*) v(2, 2)
       end
 |}
-    [ [| 2; 1 |]; [| 2; 2 |]; [| 4; 1 |] ]
+
+let serial_fallback_parts = [ [| 2; 1 |]; [| 2; 2 |]; [| 4; 1 |] ]
+
+let test_serial_fallback_allgather () =
+  check_equiv "serial fallback" serial_fallback_src serial_fallback_parts
 
 (* ------------------------------------------------------------------ *)
 (* Property: random stencil programs match under random partitions     *)

@@ -1,4 +1,4 @@
-(** Tests for the util library: intervals, PRNG, table rendering. *)
+(** Tests for the util library: intervals, PRNG, table rendering, FNV-1a. *)
 
 open Autocfd_util
 
@@ -126,6 +126,25 @@ let test_table_cells () =
   Alcotest.(check string) "float" "3.14" (Table.cell_float 3.14159);
   Alcotest.(check string) "pct" "56%" (Table.cell_pct 0.56)
 
+(* FNV-1a 64 known answers: the reference vectors of the algorithm's
+   specification; [Job.digest] names result-cache files with [hex], so a
+   changed byte here orphans every cached result *)
+let test_fnv_known_answers () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string) (Printf.sprintf "hex %S" s) want (Fnv.hex s);
+      Alcotest.(check string)
+        (Printf.sprintf "Job.digest %S" s)
+        want
+        (Autocfd_sched.Job.digest s))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ];
+  Alcotest.(check int64) "mix folds a byte" 0xaf63dc4c8601ec8cL
+    (Fnv.mix Fnv.basis 0x61L)
+
 let suite =
   [
     ("interval basics", `Quick, test_interval_basics);
@@ -140,4 +159,5 @@ let suite =
     ("prng shuffle", `Quick, test_prng_shuffle_permutation);
     ("table render", `Quick, test_table_render);
     ("table cells", `Quick, test_table_cells);
+    ("fnv known answers", `Quick, test_fnv_known_answers);
   ]
