@@ -7,7 +7,7 @@
     autocfd parallelize file.f --parts 2x2   emit the SPMD program
     autocfd run file.f --parts 2x2 [--json]  run sequential vs simulated SPMD
     autocfd trace file.f --parts 2x2 \
-        --out trace.json                     profile the simulated execution:
+        --output trace.json                  profile the simulated execution:
                                              Chrome trace_event JSON (load in
                                              Perfetto / chrome://tracing), plus
                                              --metrics m.json for the compact
@@ -20,18 +20,29 @@
                                              --prom for machine-readable and
                                              Prometheus output, --check for
                                              the >= 95% attribution gate
-    autocfd tables [1-5|all] [--json]        regenerate the paper's tables
-    autocfd tune file.f [--grid wide]        auto-search the configuration
+    autocfd tables [1-5|validate|ablation|advisor|all] [--json] [--check]
+                                             regenerate the paper's tables
+                                             (--check: the three-pass sweep
+                                             scheduler gate)
+    autocfd tune [file.f] [--grid wide]      auto-search the configuration
                                              space (rank count x partition
-                                             shape x sync combining x fission
-                                             x engine/fusion): winner plus
+                                             shape x sync combining x
+                                             fission): winner plus
                                              Pareto frontier over predicted
-                                             time / comm volume / memory
-    autocfd demo [aerofoil|sprayer]          dump a bundled case study source
+                                             time / comm volume / memory; no
+                                             file tunes both case studies
+                                             (--check: the auto-tune gate)
+    autocfd bench engine|coverage|chaos|fabric|baseline|micro [--check]
+                                             benchmarks and their CI gates
+    autocfd worker --connect ADDR            one distributed-sweep worker
+    autocfd demo [aerofoil|sprayer|cavity]   dump a bundled case study source
 
     Every program-running verb accepts --spec FILE (a Runspec JSON
     document) as the single source of configuration; individual flags
     override single fields, and run --json echoes the resolved spec.
+    Table output goes to stdout and is byte-identical for any --jobs or
+    --workers value and for cold vs warm caches; scheduler statistics go
+    to stderr.
     v} *)
 
 open Cmdliner
@@ -47,12 +58,14 @@ let read_file path =
   close_in ic;
   s
 
-(* the Fortran source being compiled, named in located diagnostics *)
-let source_path = ref "-"
+(* the Fortran source being compiled (path, text), quoted by located
+   diagnostics *)
+let source = ref ("-", "")
 
 let read_source path =
-  source_path := path;
-  read_file path
+  let text = read_file path in
+  source := (path, text);
+  text
 
 let parse_parts s =
   try
@@ -132,9 +145,6 @@ let load_and_plan spec file =
   let t = D.load ~spec (read_source file) in
   (t, D.plan ~spec t)
 
-let shape parts =
-  String.concat " x " (Array.to_list (Array.map string_of_int parts))
-
 let write_file path text =
   let oc = open_out path in
   output_string oc text;
@@ -153,7 +163,7 @@ let analyze file spec_file parts nprocs no_fission report =
   let gi = t.D.gi in
   Format.printf "flow field: %a@." A.Grid_info.pp gi;
   Format.printf "partition:  %s (%d subtasks)@."
-    (shape (Autocfd_partition.Topology.parts plan.D.topo))
+    (Gates.shape (Autocfd_partition.Topology.parts plan.D.topo))
     (Autocfd_partition.Topology.nranks plan.D.topo);
   Format.printf "@.field loop heads:@.";
   List.iter2
@@ -205,11 +215,7 @@ let parallelize file spec_file parts nprocs no_fission mpi output =
   let text = if mpi then D.mpi_source plan else D.spmd_source plan in
   match output with
   | None -> print_string text
-  | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+  | Some path -> write_file path text
 
 let engine_name = function
   | Autocfd_interp.Spmd.Tree -> "tree"
@@ -309,14 +315,7 @@ let run_cmd file spec_file parts nprocs no_fission engine json jobs use_cache
               | None -> J.Null );
           ])
   in
-  let cache =
-    if use_cache then
-      try Some (Sched.Cache.create ~dir:cache_dir ())
-      with Sys_error msg ->
-        Printf.eprintf "autocfd: unusable cache directory: %s\n" msg;
-        exit 1
-    else None
-  in
+  let cache = if use_cache then Some (Gates.open_cache cache_dir) else None in
   let results, stats = Sched.Pool.run ~jobs ?cache [ job ] in
   Printf.eprintf "scheduler: %d hit(s), %d miss(es)\n%!"
     stats.Sched.Pool.ps_hits stats.Sched.Pool.ps_misses;
@@ -413,7 +412,9 @@ let trace_cmd file spec_file parts nprocs no_fission engine out metrics_out =
   in
   let _, plan = load_and_plan spec file in
   let result = D.run ~spec plan in
-  write_file out (Obs.Chrome.to_string tracer);
+  write_file
+    (Option.value out ~default:"trace.json")
+    (Obs.Chrome.to_string tracer);
   let m = Obs.Metrics.of_trace tracer in
   (match metrics_out with
   | Some path -> write_file path (Obs.Json.pretty (Obs.Metrics.to_json m))
@@ -447,18 +448,14 @@ let profile_cmd file spec_file parts nprocs no_fission engine top json prom
   else print_string (Autocfd.Profile.render ~top p);
   if check then begin
     let cov = Autocfd.Profile.coverage p in
-    if cov < min_cov then begin
-      Printf.eprintf
+    if cov < min_cov then
+      Gates.fail
         "FAIL: %.2f%% of compute time attributed to named nests (need >= \
-         %.2f%%)\n"
+         %.2f%%)"
         (100. *. cov) (100. *. min_cov);
-      exit 1
-    end
-    else
-      Printf.printf
-        "OK: %.2f%% of compute time attributed to %d named nests\n"
-        (100. *. cov)
-        (List.length p.Autocfd.Profile.pf_metrics.Obs.Metrics.kernels)
+    Printf.printf "OK: %.2f%% of compute time attributed to %d named nests\n"
+      (100. *. cov)
+      (List.length p.Autocfd.Profile.pf_metrics.Obs.Metrics.kernels)
   end
 
 let report file spec_file parts nprocs no_fission output =
@@ -467,115 +464,57 @@ let report file spec_file parts nprocs no_fission output =
   let text = Autocfd.Report.markdown plan in
   match output with
   | None -> print_string text
-  | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+  | Some path -> write_file path text
 
-(* sweep wiring shared by the tables and tune verbs: a persistent cache
-   unless disabled, plus an optional distributed fabric with [workers]
-   spawned worker processes *)
-let make_sweep ~jobs ~workers ~use_cache ~cache_dir =
-  let module Fabric = Autocfd_sched.Fabric in
-  let cache =
-    if use_cache then
-      try Some (Autocfd_sched.Cache.create ~dir:cache_dir ())
-      with Sys_error msg ->
-        Printf.eprintf "autocfd: unusable cache directory: %s\n" msg;
-        exit 1
-    else None
-  in
-  let fabric =
-    if workers <= 0 then None
-    else begin
-      let sock =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "autocfd-fabric-%d.sock" (Unix.getpid ()))
-      in
-      let fb = Fabric.create ~listen:(Fabric.Unix_path sock) () in
-      let addr = Fabric.addr_to_string (Fabric.addr fb) in
-      for _ = 1 to workers do
-        ignore
-          (Fabric.spawn_worker fb
-             ~argv:[| Sys.executable_name; "worker"; "--connect"; addr |])
-      done;
-      Some fb
-    end
-  in
-  (Autocfd.Experiments.sweep ~jobs ?cache ?fabric (), fabric)
+let tables which json check so =
+  let module G = Gates in
+  if check then G.check_tables so
+  else if json then
+    G.with_sweep so (fun sw ->
+        print_endline
+          (Obs.Json.pretty (Autocfd.Experiments.tables_json ~sweep:sw ())))
+  else
+    let renderers =
+      if which = "all" then G.tables
+      else [ (which, List.assoc which G.tables) ]
+    in
+    print_string (G.with_sweep so (G.render_all renderers))
 
-let finish_sweep sw fabric =
-  let module E = Autocfd.Experiments in
-  let module Fabric = Autocfd_sched.Fabric in
-  let stats = E.sweep_stats sw in
-  if stats <> [] then
-    prerr_string
-      (Autocfd.Report.sched_summary ~stale:(E.sweep_stale sw) stats);
-  match fabric with
-  | Some fb ->
-      prerr_string (Autocfd.Report.fabric_summary (Fabric.stats fb));
-      Fabric.shutdown fb
-  | None -> ()
-
-let tables which json jobs workers use_cache cache_dir =
-  let module E = Autocfd.Experiments in
-  let sw, fabric = make_sweep ~jobs ~workers ~use_cache ~cache_dir in
-  (if json then print_endline (Obs.Json.pretty (E.tables_json ~sweep:sw ()))
-   else
-     let print1 () = print_string (E.render_table1 (E.table1 ~sweep:sw ())) in
-     let print2 () =
-       print_string
-         (E.render_perf ~title:"Table 2: aerofoil 99x41x13"
-            (E.table2 ~sweep:sw ()))
-     in
-     let print3 () =
-       print_string
-         (E.render_perf ~title:"Table 3: sprayer 300x100"
-            (E.table3 ~sweep:sw ()))
-     in
-     let print4 () = print_string (E.render_table4 (E.table4 ~sweep:sw ())) in
-     let print5 () = print_string (E.render_table5 (E.table5 ~sweep:sw ())) in
-     match which with
-     | "1" -> print1 ()
-     | "2" -> print2 ()
-     | "3" -> print3 ()
-     | "4" -> print4 ()
-     | "5" -> print5 ()
-     | "all" ->
-         print1 (); print_newline ();
-         print2 (); print_newline ();
-         print3 (); print_newline ();
-         print4 (); print_newline ();
-         print5 ()
-     | other -> Printf.eprintf "unknown table %S\n" other; exit 1);
-  finish_sweep sw fabric
-
-(* auto-tune one program: every point of the configuration product
-   space, dispatched as cached (and optionally distributed) jobs, pruned
-   to the Pareto frontier *)
-let tune file spec_file grid json jobs workers use_cache cache_dir =
+(* auto-tune one program, or with no FILE both case studies: every point
+   of the configuration product space, dispatched as cached (and
+   optionally distributed) jobs, pruned to the Pareto frontier *)
+let tune file spec_file grid json check so =
   let module E = Autocfd.Experiments in
   let module T = Autocfd.Tune in
-  let sw, fabric = make_sweep ~jobs ~workers ~use_cache ~cache_dir in
-  let base = resolve_spec spec_file in
-  let source = read_source file in
-  (* wide-grid Domains points execute the program for real; narrower
-     grids are pure model predictions *)
-  let measure_source = match grid with T.Wide -> Some source | _ -> None in
-  let r =
-    E.tune_program ~grid ~base ~sweep:sw ?measure_source
-      ~program:(Filename.basename file) ~source ()
-  in
-  (if json then print_endline (Obs.Json.pretty (T.result_to_json r))
-   else print_string (T.render r));
-  finish_sweep sw fabric
+  let print_json j = print_endline (Obs.Json.pretty j) in
+  match file with
+  | Some _ when check ->
+      `Error (true, "--check gates the bundled case studies; it takes no FILE")
+  | None when spec_file <> None -> `Error (true, "--spec needs a FILE")
+  | None when check -> `Ok (Gates.check_tune so)
+  | None ->
+      let results =
+        Gates.with_sweep so (fun sw -> E.tune_table ~grid ~sweep:sw ())
+      in
+      `Ok
+        (if json then print_json (Autocfd.Report.tune_summary_json results)
+         else print_string (Gates.render_tunes results))
+  | Some file ->
+      let base = resolve_spec spec_file in
+      let source = read_source file in
+      let r =
+        Gates.with_sweep so (fun sw ->
+            E.tune_program ~grid ~base ~sweep:sw
+              ~program:(Filename.basename file) ~source ())
+      in
+      `Ok
+        (if json then print_json (T.result_to_json r)
+         else print_string (T.render r))
 
 (* one fabric worker process: connect back to the master, resolve each
    assigned spec through the shared Experiments dispatcher, stream the
-   results home.  Normally spawned by the master itself (tables
-   --workers / bench --workers), but any host that can reach the socket
-   may contribute. *)
+   results home.  Normally spawned by the master itself (--workers),
+   but any host that can reach the socket may contribute. *)
 let worker connect id =
   let module Fabric = Autocfd_sched.Fabric in
   match Fabric.addr_of_string connect with
@@ -603,39 +542,14 @@ let demo which =
 
 (* ------------------------------------------------------------------ *)
 
-let analyze_cmd =
-  let report =
-    Arg.(value & flag
-         & info [ "report" ]
-             ~doc:"Emit the full markdown report instead of the plain-text \
-                   summary (same output as the 'report' verb, including the \
-                   measured per-rank time breakdown and per-sync-point \
-                   traffic tables).")
-  in
-  Cmd.v (Cmd.info "analyze" ~doc:"Dependency and synchronization analysis report")
-    Term.(const analyze $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ report)
-
-let parallelize_cmd =
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output file.")
-  in
-  let mpi =
-    Arg.(value & flag
-         & info [ "mpi" ]
-             ~doc:"Emit complete Fortran 77 + MPI source (with generated \
-                   pack/exchange subroutines) instead of the annotated \
-                   SPMD form.")
-  in
-  Cmd.v
-    (Cmd.info "parallelize"
-       ~doc:"Transform a sequential CFD program into an SPMD program")
-    Term.(const parallelize $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ mpi $ output)
+let output_arg =
+  Arg.(value & opt (some string) None
+       & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output file.")
 
 let json_flag ~what =
   Arg.(value & flag & info [ "json" ] ~doc:("Emit " ^ what ^ " as JSON."))
+
+let check_flag ~doc = Arg.(value & flag & info [ "check" ] ~doc)
 
 let jobs_arg =
   Arg.(value & opt int (Autocfd_sched.Pool.default_jobs ())
@@ -649,9 +563,24 @@ let no_cache_arg =
            ~doc:"Disable the persistent content-addressed result cache.")
 
 let cache_dir_arg =
-  Arg.(value & opt string "_autocfd_cache"
+  Arg.(value & opt string Gates.default_cache_dir
        & info [ "cache-dir" ] ~docv:"DIR"
            ~doc:"Result cache directory (default: _autocfd_cache).")
+
+let workers_arg =
+  Arg.(value & opt int 0
+       & info [ "workers" ] ~docv:"N"
+           ~doc:"Spawn $(docv) fabric worker processes and run the sweep \
+                 over the distributed fabric (leases, retries, crash \
+                 recovery) instead of the in-process pool.  0 (default) \
+                 stays in-process.")
+
+(* the options of every table-regenerating verb *)
+let sweep_term =
+  let make jobs workers no_cache cache_dir =
+    { Gates.jobs; workers; cache = not no_cache; cache_dir }
+  in
+  Term.(const make $ jobs_arg $ workers_arg $ no_cache_arg $ cache_dir_arg)
 
 let engine_arg =
   let parse = function
@@ -672,6 +601,33 @@ let engine_arg =
                  execution on OCaml 5 domains).  The compiled, fused and \
                  domains engines emit per-nest kernel summaries.")
 
+let analyze_cmd =
+  let report =
+    Arg.(value & flag
+         & info [ "report" ]
+             ~doc:"Emit the full markdown report instead of the plain-text \
+                   summary (same output as the 'report' verb, including the \
+                   measured per-rank time breakdown and per-sync-point \
+                   traffic tables).")
+  in
+  Cmd.v (Cmd.info "analyze" ~doc:"Dependency and synchronization analysis report")
+    Term.(const analyze $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
+          $ fission_arg $ report)
+
+let parallelize_cmd =
+  let mpi =
+    Arg.(value & flag
+         & info [ "mpi" ]
+             ~doc:"Emit complete Fortran 77 + MPI source (with generated \
+                   pack/exchange subroutines) instead of the annotated \
+                   SPMD form.")
+  in
+  Cmd.v
+    (Cmd.info "parallelize"
+       ~doc:"Transform a sequential CFD program into an SPMD program")
+    Term.(const parallelize $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
+          $ fission_arg $ mpi $ output_arg)
+
 let run_cmd_ =
   Cmd.v
     (Cmd.info "run"
@@ -689,12 +645,6 @@ let run_cmd_ =
           $ cache_dir_arg)
 
 let trace_cmd_ =
-  let out =
-    Arg.(value & opt string "trace.json"
-         & info [ "o"; "out" ] ~docv:"OUT"
-             ~doc:"Chrome trace_event output file (load in Perfetto or \
-                   chrome://tracing).")
-  in
   let metrics =
     Arg.(value & opt (some string) None
          & info [ "metrics" ] ~docv:"FILE"
@@ -708,11 +658,12 @@ let trace_cmd_ =
           reference machine's calibrated network and per-flop cost while \
           recording every compute, send/recv, collective and blocked \
           interval, then export a Chrome trace_event JSON timeline (one \
-          track per rank) plus optional machine-readable metrics.  With \
+          track per rank; to --output, default trace.json, for Perfetto or \
+          chrome://tracing) plus optional machine-readable metrics.  With \
           --engine domains the timeline is the real shared-memory \
           execution's wall clock on a dedicated process lane")
     Term.(const trace_cmd $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ engine_arg $ out $ metrics)
+          $ fission_arg $ engine_arg $ output_arg $ metrics)
 
 let profile_cmd_ =
   let top =
@@ -725,13 +676,6 @@ let profile_cmd_ =
          & info [ "prom" ]
              ~doc:"Emit the unified metrics registry in Prometheus text \
                    exposition format instead of the human-readable profile.")
-  in
-  let check =
-    Arg.(value & flag
-         & info [ "check" ]
-             ~doc:"Exit nonzero unless at least $(b,--min-coverage) of the \
-                   virtual compute time is attributed to named field-loop \
-                   nests (the CI attribution gate).")
   in
   let min_cov =
     Arg.(value & opt float 0.95
@@ -752,40 +696,50 @@ let profile_cmd_ =
           $ fission_arg $ engine_arg
           $ top
           $ json_flag ~what:"the full profile document"
-          $ prom $ check $ min_cov)
+          $ prom
+          $ check_flag
+              ~doc:"Exit nonzero unless at least $(b,--min-coverage) of the \
+                    virtual compute time is attributed to named field-loop \
+                    nests (the CI attribution gate)."
+          $ min_cov)
 
 let report_cmd =
-  let output =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"OUT" ~doc:"Output file.")
-  in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Emit a markdown pre-compilation report (loops, S_LDP, \
              synchronization points, modelled performance)")
     Term.(const report $ file_arg $ spec_arg $ parts_arg $ nprocs_arg
-          $ fission_arg $ output)
-
-let workers_arg =
-  Arg.(value & opt int 0
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"Spawn $(docv) fabric worker processes and run the sweep \
-                 over the distributed fabric (leases, retries, crash \
-                 recovery) instead of the in-process pool.  0 (default) \
-                 stays in-process.")
+          $ fission_arg $ output_arg)
 
 let tables_cmd =
   let which =
-    Arg.(value & pos 0 string "all" & info [] ~docv:"N" ~doc:"1-5 or 'all'.")
+    let names = "all" :: List.map fst Gates.tables in
+    Arg.(value & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
+         & info [] ~docv:"WHICH"
+             ~doc:"1-5, validate (model vs simulator), ablation (optimal \
+                   vs first-fit combining), advisor (volume heuristic vs \
+                   model-picked partition) or all.")
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Regenerate the paper's evaluation tables")
+  Cmd.v
+    (Cmd.info "tables"
+       ~doc:"Regenerate the paper's evaluation tables side by side with the \
+             published values")
     Term.(const tables $ which
           $ json_flag ~what:"every table (1-5) plus model validation"
-          $ jobs_arg $ workers_arg
-          $ Term.app (const not) no_cache_arg
-          $ cache_dir_arg)
+          $ check_flag
+              ~doc:"The sweep scheduler gate: render the pooled tables \
+                    serially without a cache, then in parallel on a cold \
+                    and on a warm cache; fail unless all three are \
+                    byte-identical, the warm pass is 100% cache hits and \
+                    it is at least 5x faster than the cold pass."
+          $ sweep_term)
 
 let tune_cmd =
+  let file =
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE"
+           ~doc:"Fortran source to tune (default: both paper case studies \
+                 on their Table 2/3 sources).")
+  in
   let grid =
     let parse s =
       match Autocfd.Tune.grid_of_string s with
@@ -800,25 +754,136 @@ let tune_cmd =
              ~doc:"Search-space width: narrow (single smoke-test point), \
                    default (every rank count and feasible partition shape \
                    x sync-combining strategy) or wide (adds odd rank \
-                   counts, fission/fusion ablations and the real Domains \
-                   engine with measured wall clock).")
+                   counts and the fission ablation).")
   in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Auto-search the full configuration space of a program: every \
-          rank count, feasible partition shape, synchronization-combining \
-          strategy (and on the wide grid: fission/fusion ablations and \
-          the real Domains engine) is one cached job through the sweep \
-          scheduler; the result is the winning configuration plus the \
-          Pareto frontier over predicted time, communication volume and \
-          per-rank memory.  Each frontier row's spec is a complete \
-          Runspec: feed it back with --spec to reproduce that exact run.")
-    Term.(const tune $ file_arg $ spec_arg $ grid
-          $ json_flag ~what:"the winner and Pareto frontier"
-          $ jobs_arg $ workers_arg
-          $ Term.app (const not) no_cache_arg
-          $ cache_dir_arg)
+         "Auto-search the full configuration space of a program (with no \
+          FILE: both paper case studies): every rank count, feasible \
+          partition shape and synchronization-combining strategy (and on \
+          the wide grid: loop fission on and off) is one cached job \
+          through the sweep scheduler; the result is the winning \
+          configuration plus the Pareto frontier over predicted time, \
+          communication volume and per-rank memory.  Each frontier row's \
+          spec is a complete Runspec: feed it back with --spec to \
+          reproduce that exact run.")
+    Term.(ret
+            (const tune $ file $ spec_arg $ grid
+             $ json_flag ~what:"the winner and Pareto frontier"
+             $ check_flag
+                 ~doc:"The auto-tune gate over both case studies' default \
+                       grid: serial, cold parallel and warm parallel tunes \
+                       must render byte-identically with a 100%-hit warm \
+                       pass, each winner must not lose to any hand-picked \
+                       Table 2/3 row, and no frontier entry may be \
+                       dominated."
+             $ sweep_term))
+
+let bench_cmd =
+  let verb name ~doc term = Cmd.v (Cmd.info name ~doc) term in
+  let manifest =
+    Arg.(value & opt string "COVERAGE.json"
+         & info [ "coverage" ] ~docv:"FILE"
+             ~doc:"Coverage manifest: every nest it lists as fused must \
+                   still fuse (default: COVERAGE.json).")
+  in
+  let update_coverage =
+    Arg.(value & flag
+         & info [ "update-coverage" ]
+             ~doc:"(Over-)write the coverage manifest instead of gating \
+                   against it.")
+  in
+  let baseline =
+    Arg.(value & opt string "BENCH_baseline.json"
+         & info [ "baseline" ] ~docv:"FILE"
+             ~doc:"Baseline document (default: BENCH_baseline.json).")
+  in
+  let check_regress =
+    Arg.(value & flag
+         & info [ "check-regress" ]
+             ~doc:"Gate the regenerated tables against the baseline: \
+                   modelled times and sync counts must not rise, speedups \
+                   must not fall, engine identity and chaos recovery must \
+                   stay true.")
+  in
+  let update_baseline =
+    Arg.(value & flag
+         & info [ "update-baseline" ]
+             ~doc:"(Over-)write the baseline file with the regenerated \
+                   tables.")
+  in
+  let tolerance =
+    let nonneg =
+      let parse s =
+        match float_of_string_opt s with
+        | Some t when t >= 0.0 -> Ok t
+        | _ -> Error (`Msg "expected a non-negative number")
+      in
+      Arg.conv (parse, Format.pp_print_float)
+    in
+    Arg.(value & opt nonneg 0.05
+         & info [ "tolerance" ] ~docv:"T"
+             ~doc:"Relative allowance for deterministic (virtual-clock) \
+                   numbers (default 0.05); the host-wall-clock engine \
+                   speedups always use the generous 0.5.")
+  in
+  Cmd.group
+    (Cmd.info "bench"
+       ~doc:"Execution-engine, coverage, fault, fabric and perf-regression \
+             benchmarks and their CI gates")
+    [
+      verb "engine"
+        ~doc:"Tree-walking vs compiled vs fused-kernel vs Domains execution \
+              engines, plus per-loop kernel coverage"
+        Term.(const (fun so check manifest update ->
+                  Gates.engine so ~check ~manifest ~update)
+              $ sweep_term
+              $ check_flag
+                  ~doc:"Fail unless all engines agree bit-for-bit, the \
+                        fused tier at least matches the compiled speedup, \
+                        fission leaves program state unchanged and no \
+                        fused nest of the coverage manifest regressed."
+              $ manifest $ update_coverage);
+      verb "coverage"
+        ~doc:"Per-nest fused-kernel coverage of the bundled applications \
+              before/after loop fission, gated against the coverage \
+              manifest"
+        Term.(const (fun manifest update -> Gates.coverage ~manifest ~update)
+              $ manifest $ update_coverage);
+      verb "chaos"
+        ~doc:"Seeded fault schedules vs the reliable transport and \
+              checkpoint/restart"
+        Term.(const (fun so check -> Gates.chaos so ~check)
+              $ sweep_term
+              $ check_flag
+                  ~doc:"Fail unless every recoverable schedule yields \
+                        bit-identical results within the overhead budget.");
+      verb "fabric"
+        ~doc:"The pooled tables over the distributed master/worker fabric \
+              (--workers processes, default 3)"
+        Term.(const (fun so check -> Gates.fabric so ~check)
+              $ sweep_term
+              $ check_flag
+                  ~doc:"The chaos gate: a serial reference, then a master \
+                        with 3 workers, one SIGKILLed mid-sweep (must render \
+                        byte-identically with >= 1 requeue and leave \
+                        fabric_trace.json), then a worker-less master that \
+                        must degrade to the in-process pool.");
+      verb "baseline"
+        ~doc:"Write BENCH_tables.json (tables 1-5, model validation, engine \
+              speedups, resilience, auto-tune and scheduler stats) and \
+              optionally gate it against, or write it as, the committed \
+              baseline"
+        Term.(const (fun so path check_regress update tolerance ->
+                  Gates.baseline so ~path ~check_regress ~update ~tolerance)
+              $ sweep_term $ baseline $ check_regress $ update_baseline
+              $ tolerance);
+      verb "micro"
+        ~doc:"Bechamel micro-benchmarks of the pipeline stages behind each \
+              table"
+        Term.(const Gates.micro $ const ());
+    ]
 
 let worker_cmd =
   let connect =
@@ -851,13 +916,32 @@ let demo_cmd =
     (Cmd.info "demo" ~doc:"Print a bundled case-study Fortran source")
     Term.(const demo $ which)
 
+(* [FILE:LINE:COL: message], then the offending source line with a caret
+   under the column when the line exists *)
+let print_diagnostic (loc : Autocfd_fortran.Loc.t) msg =
+  let path, text = !source in
+  Printf.eprintf "%s:%d:%d: %s\n" path loc.line loc.col msg;
+  (* errors at end of input sit on the Eof token, at line 0 *)
+  if loc.line >= 1 then
+    match List.nth_opt (String.split_on_char '\n' text) (loc.line - 1) with
+    | Some line ->
+        (* tabs stay tabs so the caret lines up under any tab width *)
+        let pad =
+          String.init
+            (min (max 0 (loc.col - 1)) (String.length line))
+            (fun i -> if line.[i] = '\t' then '\t' else ' ')
+        in
+        Printf.eprintf "%s\n%s%s^\n" line pad
+          (String.make (max 0 (loc.col - 1 - String.length line)) ' ')
+    | None -> ()
+
 let () =
   let doc = "Auto-CFD: parallelizing pre-compiler for Fortran CFD programs" in
   let info = Cmd.info "autocfd" ~version:"1.0.0" ~doc in
   let cmd =
     Cmd.group info
       [ analyze_cmd; parallelize_cmd; run_cmd_; trace_cmd_; profile_cmd_;
-        report_cmd; tables_cmd; tune_cmd; worker_cmd; demo_cmd ]
+        report_cmd; tables_cmd; tune_cmd; bench_cmd; worker_cmd; demo_cmd ]
   in
   (* a malformed source is the user's error, not an internal one: report
      it located and exit 2 *)
@@ -865,8 +949,7 @@ let () =
     (match Cmd.eval ~catch:false cmd with
     | code -> code
     | exception Autocfd_fortran.Loc.Error (loc, msg) ->
-        Printf.eprintf "%s:%d:%d: %s\n" !source_path
-          loc.Autocfd_fortran.Loc.line loc.Autocfd_fortran.Loc.col msg;
+        print_diagnostic loc msg;
         2
     | exception e ->
         Printf.eprintf "autocfd: internal error, uncaught exception:\n%s\n%s"

@@ -56,7 +56,7 @@ let () =
   Printf.printf
     "\nmodelled time on the 2003-class cluster (3 x 2 x 1, %d frames): %.1f s\n"
     20 pred.M.time;
-  Printf.printf "  (Table 2 in bench/main.exe runs the same program for %d frames)\n"
+  Printf.printf "  (Table 2 of `autocfd tables` runs the same program for %d frames)\n"
     Autocfd.Experiments.aerofoil_frames;
   (* reduced-size execution for validation *)
   print_endline "\nvalidating on a reduced 20 x 12 x 6 grid, 6 ranks:";

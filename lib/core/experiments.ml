@@ -529,13 +529,7 @@ let exec_spec spec =
              (Fault.counters faults))
   | "tune" ->
       let rspec = Runspec.of_json (jfield "spec" spec) in
-      let measure_source =
-        match J.member "measure_source" spec with
-        | Some (J.Str s) -> Some s
-        | _ -> None
-      in
-      Tune.entry_to_json
-        (Tune.eval ?measure_source ~machine ~source:(source ()) rspec)
+      Tune.entry_to_json (Tune.eval ~machine ~source:(source ()) rspec)
   | other -> raise (J.Parse_error ("unknown job spec kind: " ^ other))
 
 let job ~table ~label ~params ~spec =
@@ -1432,22 +1426,17 @@ let render_table5 rows =
 (* ------------------------------------------------------------------ *)
 
 (* (program, frame-scaled source whose model predictions line up with
-   the Table 2/3 rows, small instance the wide grid's Domains points
-   can actually execute for a real wall clock) *)
+   the Table 2/3 rows) *)
 let tune_cases =
   [
-    ( "aerofoil",
-      (fun () -> Apps.Aerofoil.source ~ntime:aerofoil_frames ()),
-      (fun () -> Apps.Aerofoil.source ~ni:24 ~nj:12 ~nk:8 ~ntime:2 ()) );
-    ( "sprayer",
-      (fun () -> Apps.Sprayer.source ~ntime:sprayer_frames ()),
-      (fun () -> Apps.Sprayer.source ~ni:80 ~nj:40 ~ntime:4 ()) );
+    ("aerofoil", fun () -> Apps.Aerofoil.source ~ntime:aerofoil_frames ());
+    ("sprayer", fun () -> Apps.Sprayer.source ~ntime:sprayer_frames ());
   ]
 
 (* one search point = one cached job; the serialized runspec IS the
    run-describing half of the key, so tune results survive cache reuse
    across grids and verbs and a warm re-tune is pure hits *)
-let tune_point_job ~program ~source ?measure_source rspec =
+let tune_point_job ~program ~source rspec =
   let spec_json = Runspec.to_json rspec in
   job ~table:"tune"
     ~label:
@@ -1457,44 +1446,23 @@ let tune_point_job ~program ~source ?measure_source rspec =
          | None -> Printf.sprintf "auto/%d" rspec.Runspec.nprocs))
     ~params:
       (J.Obj
-         ([
-            machine_key;
-            ("program", J.Str program);
-            ("spec", spec_json);
-            ("src", J.Str (Sched.Job.digest source));
-          ]
-         @
-         match measure_source with
-         | Some m -> [ ("measure_src", J.Str (Sched.Job.digest m)) ]
-         | None -> []))
+         [
+           machine_key;
+           ("program", J.Str program);
+           ("spec", spec_json);
+           ("src", J.Str (Sched.Job.digest source));
+         ])
     ~spec:
       (J.Obj
-         ([
-            ("kind", J.Str "tune");
-            ("source", J.Str source);
-            ("spec", spec_json);
-          ]
-         @
-         match measure_source with
-         | Some m -> [ ("measure_source", J.Str m) ]
-         | None -> []))
+         [
+           ("kind", J.Str "tune"); ("source", J.Str source); ("spec", spec_json);
+         ])
 
-let tune_program ?(grid = Tune.Default) ?base ?sweep ?measure_source
-    ~program ~source () =
+let tune_program ?(grid = Tune.Default) ?base ?sweep ~program ~source () =
   let sw = fresh_sweep sweep in
   let t = Driver.load source in
   let jobs =
-    List.map
-      (fun rspec ->
-        (* the measurement instance only enters the job (and its cache
-           key) for points that will actually execute it *)
-        let measure_source =
-          match rspec.Runspec.engine with
-          | Autocfd_interp.Spmd.Domains -> measure_source
-          | _ -> None
-        in
-        tune_point_job ~program ~source ?measure_source rspec)
-      (Tune.points ?base grid t)
+    List.map (tune_point_job ~program ~source) (Tune.points ?base grid t)
   in
   Tune.make_result ~program ~grid
     (List.map Tune.entry_of_json (run_jobs sw ~table:"tune" jobs))
@@ -1502,14 +1470,8 @@ let tune_program ?(grid = Tune.Default) ?base ?sweep ?measure_source
 let tune_table ?(grid = Tune.Default) ?sweep () =
   let sw = fresh_sweep sweep in
   List.map
-    (fun (program, source, measure) ->
-      let measure_source =
-        (* wall measurement is nondeterministic, so it is confined to
-           the wide grid: default-grid tables stay byte-reproducible *)
-        match grid with Tune.Wide -> Some (measure ()) | _ -> None
-      in
-      tune_program ~grid ?measure_source ~sweep:sw ~program
-        ~source:(source ()) ())
+    (fun (program, source) ->
+      tune_program ~grid ~sweep:sw ~program ~source:(source ()) ())
     tune_cases
 
 let tables_json ?sweep () =

@@ -240,7 +240,6 @@ val tune_program :
   ?grid:Tune.grid ->
   ?base:Runspec.t ->
   ?sweep:sweep ->
-  ?measure_source:string ->
   program:string ->
   source:string ->
   unit ->
@@ -249,16 +248,12 @@ val tune_program :
     each point as a cached job through the sweep (one job per point; the
     serialized runspec is the run-describing half of the cache key, so a
     warm re-tune is pure hits), and prune to the Pareto frontier.
-    [base] seeds the non-searched runspec fields; [measure_source] is
-    the small instance Domains-engine points execute for a real wall
-    clock (it only enters the job — and its cache key — for those
-    points). *)
+    [base] seeds the non-searched runspec fields. *)
 
 val tune_table : ?grid:Tune.grid -> ?sweep:sweep -> unit -> Tune.result list
 (** {!tune_program} over both paper case studies on their frame-scaled
-    sources (so tuned times line up with the Table 2/3 rows).  Wall
-    measurement is confined to the [Wide] grid; [Narrow] and [Default]
-    results are fully deterministic and byte-reproducible. *)
+    sources (so tuned times line up with the Table 2/3 rows).  Results
+    are fully deterministic and byte-reproducible on every grid. *)
 
 val machine : Autocfd_perfmodel.Model.machine
 (** The calibrated cluster model used by every timing table. *)
@@ -276,7 +271,7 @@ val tables_json : ?sweep:sweep -> unit -> Autocfd_obs.Json.t
     statistics (key ["sched"],
     {!Report.sched_summary_json}) as one JSON document (schema
     ["autocfd-bench/1"]) — the diffable perf trajectory written to
-    [BENCH_tables.json] by [bench/main.exe --json].  All tables run
+    [BENCH_tables.json] by [autocfd bench baseline].  All tables run
     through the given [sweep] (default: a fresh serial sweep).  The
     ["sched"] section is wall-clock (machine-dependent); the baseline
     gate ({!Baseline}) never gates on it. *)

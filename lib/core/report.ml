@@ -402,54 +402,6 @@ let fabric_summary_json (fs : Autocfd_sched.Fabric.stats) =
             fs.Fabric.fs_workers));
     ]
 
-let tune_summary results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "## Auto-tuning\n\n";
-  List.iter
-    (fun (r : Tune.result) ->
-      let w = r.Tune.tr_winner in
-      Buffer.add_string b
-        (Printf.sprintf
-           "### %s (%s grid)\n\n\
-            %d configurations evaluated, %d on the Pareto frontier.  \
-            Winner: `%s` over %d ranks (%s combining, fission %s, %s \
-            engine) at %.1f modelled seconds.\n\n"
-           r.Tune.tr_program
-           (Tune.grid_to_string r.Tune.tr_grid)
-           r.Tune.tr_total
-           (List.length r.Tune.tr_frontier)
-           (Runspec.parts_to_string w.Tune.te_parts)
-           (Array.fold_left ( * ) 1 w.Tune.te_parts)
-           (Runspec.combine_to_string w.Tune.te_spec.Runspec.combine)
-           (if w.Tune.te_spec.Runspec.fission then "on" else "off")
-           (Runspec.engine_to_string w.Tune.te_spec.Runspec.engine)
-           w.Tune.te_metrics.Tune.tm_time);
-      Buffer.add_string b
-        "| procs | partition | combine | fission | engine | time (s) | \
-         comm (KB) | mem/rank (KB) | domains wall (s) |\n\
-         |---|---|---|---|---|---|---|---|---|\n";
-      List.iter
-        (fun (e : Tune.entry) ->
-          let s = e.Tune.te_spec in
-          Buffer.add_string b
-            (Printf.sprintf "| %d | %s | %s | %s | %s | %.1f | %.0f | %.0f | %s |\n"
-               (Array.fold_left ( * ) 1 e.Tune.te_parts)
-               (Runspec.parts_to_string e.Tune.te_parts)
-               (Runspec.combine_to_string s.Runspec.combine)
-               (if s.Runspec.fission then "on" else "off")
-               (Runspec.engine_to_string s.Runspec.engine
-               ^ if s.Runspec.fuse then "" else "-nofuse")
-               e.Tune.te_metrics.Tune.tm_time
-               (e.Tune.te_metrics.Tune.tm_comm /. 1024.)
-               (e.Tune.te_metrics.Tune.tm_mem /. 1024.)
-               (match e.Tune.te_metrics.Tune.tm_wall with
-               | Some wall -> Printf.sprintf "%.3f" wall
-               | None -> "-")))
-        r.Tune.tr_frontier;
-      Buffer.add_char b '\n')
-    results;
-  Buffer.contents b
-
 let tune_summary_json results =
   let module J = Obs.Json in
   J.Obj

@@ -45,12 +45,7 @@ val fabric_summary_json : Autocfd_sched.Fabric.stats -> Autocfd_obs.Json.t
 (** The same fabric counters as a machine-readable document (schema
     ["autocfd-fabric/1"]). *)
 
-val tune_summary : Tune.result list -> string
-(** Markdown rendering of {!Experiments.tune_table} output: per program,
-    the winning configuration one-liner plus the full Pareto-frontier
-    table (time / comm / memory, with the measured Domains wall clock
-    where available). *)
-
 val tune_summary_json : Tune.result list -> Autocfd_obs.Json.t
-(** The same results as a machine-readable document (schema
-    ["autocfd-tune/1"]). *)
+(** {!Experiments.tune_table} output as a machine-readable document
+    (schema ["autocfd-tune/1"]): per program, the winner and the Pareto
+    frontier ({!Tune.result_to_json}). *)

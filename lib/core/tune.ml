@@ -22,14 +22,13 @@ let grid_of_string = function
   | "wide" -> Ok Wide
   | s -> Error (Printf.sprintf "unknown tune grid %S (narrow|default|wide)" s)
 
-(* one value list per orthogonal axis; engine and fuse are enumerated as
-   pairs because [fuse] only distinguishes fused-capable engines
-   (Fused+no-fuse is the Compiled IR; Domains always runs fused) *)
+(* one value list per orthogonal axis.  Every point runs the fused
+   engine: the engine and fusion knobs change wall clock only, which the
+   analytic objective cannot see *)
 type axes = {
   ax_nprocs : int list;
   ax_combine : S.Optimizer.combine_strategy list;
   ax_fission : bool list;
-  ax_exec : (I.Spmd.engine * bool) list;  (* (engine, fuse) *)
 }
 
 let axes = function
@@ -38,25 +37,18 @@ let axes = function
         ax_nprocs = [ 4 ];
         ax_combine = [ S.Optimizer.Optimal ];
         ax_fission = [ true ];
-        ax_exec = [ (I.Spmd.Fused, true) ];
       }
   | Default ->
       {
         ax_nprocs = [ 2; 3; 4; 6 ];
         ax_combine = [ S.Optimizer.Optimal; S.Optimizer.First_fit ];
         ax_fission = [ true ];
-        ax_exec = [ (I.Spmd.Fused, true) ];
       }
   | Wide ->
       {
         ax_nprocs = [ 2; 3; 4; 5; 6; 8 ];
         ax_combine = [ S.Optimizer.Optimal; S.Optimizer.First_fit ];
         ax_fission = [ true; false ];
-        ax_exec =
-          [
-            (I.Spmd.Fused, true); (I.Spmd.Fused, false);
-            (I.Spmd.Domains, true);
-          ];
       }
 
 let feasible_shapes t nprocs =
@@ -75,15 +67,12 @@ let points ?(base = Runspec.default) grid t =
         (fun parts ->
           List.concat_map
             (fun combine ->
-              List.concat_map
+              List.map
                 (fun fission ->
-                  List.map
-                    (fun (engine, fuse) ->
-                      Runspec.(
-                        base |> with_nprocs nprocs |> with_parts (Some parts)
-                        |> with_combine combine |> with_fission fission
-                        |> with_engine engine |> with_fuse fuse))
-                    ax.ax_exec)
+                  Runspec.(
+                    base |> with_nprocs nprocs |> with_parts (Some parts)
+                    |> with_combine combine |> with_fission fission
+                    |> with_engine I.Spmd.Fused |> with_fuse true))
                 ax.ax_fission)
             ax.ax_combine)
         (feasible_shapes t nprocs))
@@ -97,7 +86,6 @@ type metrics = {
   tm_time : float;
   tm_comm : float;
   tm_mem : float;
-  tm_wall : float option;
 }
 
 type entry = {
@@ -106,30 +94,12 @@ type entry = {
   te_metrics : metrics;
 }
 
-let measure_wall spec source =
-  match Driver.load ~spec source with
-  | exception _ -> None
-  | t -> (
-      match Driver.plan ~spec t with
-      | exception Invalid_argument _ -> None
-      | plan -> (
-          match (Driver.run ~spec plan).I.Spmd.domains with
-          | Some ds -> Some ds.I.Spmd.ds_wall
-          | None -> None))
-
-let eval ?measure_source ~machine ~source (spec : Runspec.t) =
+let eval ~machine ~source (spec : Runspec.t) =
   let t = Driver.load ~spec source in
   let plan = Driver.plan ~spec t in
   let gi = t.Driver.gi and topo = plan.Driver.topo in
   let census = M.census ~gi ~topo plan.Driver.spmd in
   let pred = M.predict_parallel machine ~gi ~topo plan.Driver.spmd in
-  let wall =
-    (* real wall clock only exists for the Domains engine, and only on
-       an instance small enough to actually execute *)
-    match (spec.Runspec.engine, measure_source) with
-    | I.Spmd.Domains, Some msrc -> measure_wall spec msrc
-    | _ -> None
-  in
   {
     te_spec = spec;
     te_parts = P.Topology.parts topo;
@@ -138,7 +108,6 @@ let eval ?measure_source ~machine ~source (spec : Runspec.t) =
         tm_time = pred.M.time;
         tm_comm = census.M.exchange_bytes +. census.M.pipe_bytes;
         tm_mem = pred.M.working_set;
-        tm_wall = wall;
       };
   }
 
@@ -154,10 +123,6 @@ let entry_to_json e =
       ("time", J.Float e.te_metrics.tm_time);
       ("comm", J.Float e.te_metrics.tm_comm);
       ("mem", J.Float e.te_metrics.tm_mem);
-      ( "wall",
-        match e.te_metrics.tm_wall with
-        | Some w -> J.Float w
-        | None -> J.Null );
     ]
 
 let fail msg = raise (J.Parse_error ("Tune.entry_of_json: " ^ msg))
@@ -179,10 +144,6 @@ let entry_of_json j =
         tm_time = J.to_float_exn (jget "time" j);
         tm_comm = J.to_float_exn (jget "comm" j);
         tm_mem = J.to_float_exn (jget "mem" j);
-        tm_wall =
-          (match jget "wall" j with
-          | J.Null -> None
-          | v -> Some (J.to_float_exn v));
       };
   }
 
@@ -190,8 +151,6 @@ let entry_of_json j =
 (* Pareto pruning                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [wall] is informational (only some points have it measured), so
-   dominance is judged on the three deterministic axes *)
 let dominates a b =
   a.tm_time <= b.tm_time && a.tm_comm <= b.tm_comm && a.tm_mem <= b.tm_mem
   && (a.tm_time < b.tm_time || a.tm_comm < b.tm_comm || a.tm_mem < b.tm_mem)
@@ -201,14 +160,11 @@ let spec_key e = J.canonical (Runspec.to_json e.te_spec)
 let triple m = (m.tm_time, m.tm_comm, m.tm_mem)
 
 (* exact metric ties resolve toward the paper's default knobs (optimal
-   combining, fission and fusion on) before the canonical spec JSON, so
-   a tied winner reads as the least surprising configuration *)
+   combining, fission on) before the canonical spec JSON, so a tied
+   winner reads as the least surprising configuration *)
 let tiebreak e =
   let s = e.te_spec in
-  ( s.Runspec.combine <> S.Optimizer.Optimal,
-    not s.Runspec.fission,
-    not s.Runspec.fuse,
-    spec_key e )
+  (s.Runspec.combine <> S.Optimizer.Optimal, not s.Runspec.fission, spec_key e)
 
 let compare_entry a b =
   compare
@@ -225,29 +181,17 @@ let frontier entries =
              entries))
       entries
   in
-  (* exact metric ties (e.g. engine variants of the same plan) collapse
-     to one representative, preferring one with a measured wall clock *)
-  let sorted = List.sort compare_entry undominated in
+  (* exact metric ties collapse to their first entry in report order *)
   let rec collapse = function
     | [] -> []
     | e :: rest ->
-        let ties, rest =
-          List.partition
-            (fun o -> triple o.te_metrics = triple e.te_metrics)
-            rest
-        in
-        let rep =
-          match
-            List.find_opt
-              (fun o -> o.te_metrics.tm_wall <> None)
-              (e :: ties)
-          with
-          | Some w -> w
-          | None -> e
-        in
-        rep :: collapse rest
+        e
+        :: collapse
+             (List.filter
+                (fun o -> triple o.te_metrics <> triple e.te_metrics)
+                rest)
   in
-  collapse sorted
+  collapse (List.sort compare_entry undominated)
 
 let winner entries =
   match List.sort compare_entry entries with
@@ -329,20 +273,16 @@ let entry_row e =
     Runspec.parts_to_string e.te_parts;
     Runspec.combine_to_string s.Runspec.combine;
     (if s.Runspec.fission then "on" else "off");
-    Runspec.engine_to_string s.Runspec.engine
-    ^ (if s.Runspec.fuse then "" else "-nofuse");
+    Runspec.engine_to_string s.Runspec.engine;
     cell_float ~decimals:1 e.te_metrics.tm_time;
     cell_float ~decimals:0 (e.te_metrics.tm_comm /. 1024.);
     cell_float ~decimals:0 (e.te_metrics.tm_mem /. 1024.);
-    (match e.te_metrics.tm_wall with
-    | Some w -> cell_float ~decimals:3 w
-    | None -> "-");
   ]
 
 let headers =
   [
     "procs"; "partition"; "combine"; "fission"; "engine"; "time (s)";
-    "comm (KB)"; "mem/rank (KB)"; "domains wall (s)";
+    "comm (KB)"; "mem/rank (KB)";
   ]
 
 let render r =

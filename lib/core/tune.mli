@@ -1,27 +1,25 @@
 (** Auto-tuning: search the whole configuration space behind one verb.
 
     ComPar-style auto-tuning for the Auto-CFD pipeline: enumerate the
-    product space of every plan- and run-time knob a {!Runspec.t} can
-    express — rank count, partition shape (all feasible factorizations),
-    sync-combining strategy, loop fission, execution engine and kernel
-    fusion — evaluate each point under the calibrated performance model
-    ({!Autocfd_perfmodel.Model}), and report the winner plus the Pareto
-    frontier over (predicted time, per-rank communication volume,
-    per-rank working set).
+    product space of the plan-time knobs a {!Runspec.t} can express —
+    rank count, partition shape (all feasible factorizations),
+    sync-combining strategy and loop fission — evaluate each point under
+    the calibrated performance model ({!Autocfd_perfmodel.Model}), and
+    report the winner plus the Pareto frontier over (predicted time,
+    per-rank communication volume, per-rank working set).  Every point
+    runs the fused engine: the engine and fusion knobs only change wall
+    clock, which the analytic objective cannot see.
 
     Each search point {e is} a runspec: {!points} returns a list of
     [Runspec.t] values, and the serialized spec is simultaneously the
     tune job's cache key and the recipe to reproduce that exact run.
     Evaluation is deterministic (pure model predictions), so tune tables
-    are byte-identical across serial, pooled and distributed sweeps; the
-    one nondeterministic quantity — real Domains-engine wall clock — is
-    measured only on the wide grid and excluded from dominance. *)
+    are byte-identical across serial, pooled and distributed sweeps. *)
 
 (** How wide to open each axis. [Narrow] is a smoke-test single point;
     [Default] covers every hand-picked configuration in the paper's
     Table 2/3 reproductions (so the tuned winner can only match or beat
-    them); [Wide] adds odd rank counts, first-fit-only regressions,
-    fission/fusion ablations and the real Domains engine. *)
+    them); [Wide] adds odd rank counts and the fission ablation. *)
 type grid = Narrow | Default | Wide
 
 val grid_to_string : grid -> string
@@ -37,14 +35,11 @@ val points : ?base:Runspec.t -> grid -> Driver.t -> Runspec.t list
     non-searched fields — machine, input, faults… — so tuning composes
     with [--spec]. *)
 
-(** One evaluated point.  [tm_wall] is the measured Domains wall clock
-    when available, [None] otherwise; it is informational and never
-    enters dominance. *)
+(** One evaluated point. *)
 type metrics = {
   tm_time : float;  (** predicted parallel seconds *)
   tm_comm : float;  (** per-rank exchange + pipeline bytes *)
   tm_mem : float;  (** per-rank working set, bytes *)
-  tm_wall : float option;
 }
 
 type entry = {
@@ -54,15 +49,9 @@ type entry = {
 }
 
 val eval :
-  ?measure_source:string ->
-  machine:Autocfd_perfmodel.Model.machine ->
-  source:string ->
-  Runspec.t ->
-  entry
+  machine:Autocfd_perfmodel.Model.machine -> source:string -> Runspec.t -> entry
 (** Plan [source] under the spec and read the three model axes off the
-    resulting SPMD unit.  When the spec selects the Domains engine and
-    [measure_source] is given, additionally executes that (small)
-    instance for real and records its wall clock. *)
+    resulting SPMD unit. *)
 
 val entry_to_json : entry -> Autocfd_obs.Json.t
 val entry_of_json : Autocfd_obs.Json.t -> entry
@@ -77,10 +66,9 @@ val dominates : metrics -> metrics -> bool
 val frontier : entry list -> entry list
 (** The non-dominated entries, in the deterministic report order:
     ascending time, then comm, then mem; exact metric ties resolve
-    toward the paper's default knobs (optimal combining, fission and
-    fusion on) and finally the canonical spec JSON.  Entries with
-    exactly equal metrics collapse to one representative, preferring one
-    that has a measured wall clock. *)
+    toward the paper's default knobs (optimal combining, fission on) and
+    finally the canonical spec JSON.  Entries with exactly equal metrics
+    collapse to the first of them in that order. *)
 
 val winner : entry list -> entry
 (** The head of the frontier order: minimal time, ties broken as in

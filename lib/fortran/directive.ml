@@ -42,22 +42,22 @@ let recognize line =
     else Some payload
   else None
 
-exception Parse_error of int * string
-
 let split_args s =
   String.split_on_char ',' s
   |> List.map String.trim
   |> List.filter (fun x -> x <> "")
 
-(* payload looks like "  grid(ni, nj, nk)" or "  serial" *)
-let parse ~line payload =
+(* payload looks like "  grid(ni, nj, nk)" or "  serial"; a malformed
+   one raises {!Loc.Error} at [line] and the directive's column [col] *)
+let parse ~line ~col payload =
+  let error msg = raise (Loc.Error (Loc.make line col, msg)) in
   let payload = String.trim (String.lowercase_ascii payload) in
   let name, args =
     match String.index_opt payload '(' with
     | None -> (payload, [])
     | Some i ->
         if payload.[String.length payload - 1] <> ')' then
-          raise (Parse_error (line, "unterminated directive argument list"));
+          error "unterminated directive argument list";
         let name = String.trim (String.sub payload 0 i) in
         let inner =
           String.sub payload (i + 1) (String.length payload - i - 2)
@@ -67,7 +67,7 @@ let parse ~line payload =
   let kind =
     match name with
     | "grid" ->
-        if args = [] then raise (Parse_error (line, "grid() needs arguments"));
+        if args = [] then error "grid() needs arguments";
         Grid args
     | "status" ->
         let parse_one a =
@@ -76,8 +76,8 @@ let parse ~line payload =
           | [ n; k ] -> (
               match int_of_string_opt (String.trim k) with
               | Some k when k > 0 -> (String.trim n, Some k)
-              | _ -> raise (Parse_error (line, "bad status dimension count")))
-          | _ -> raise (Parse_error (line, "bad status() argument: " ^ a))
+              | _ -> error "bad status dimension count")
+          | _ -> error ("bad status() argument: " ^ a)
         in
         Status (List.map parse_one args)
     | "dist" -> (
@@ -85,10 +85,10 @@ let parse ~line payload =
         | [ a; k ] -> (
             match int_of_string_opt k with
             | Some k when k > 0 -> Dist (a, k)
-            | _ -> raise (Parse_error (line, "dist() distance must be > 0")))
-        | _ -> raise (Parse_error (line, "dist(array, k) expects 2 arguments")))
+            | _ -> error "dist() distance must be > 0")
+        | _ -> error "dist(array, k) expects 2 arguments")
     | "serial" -> Serial
-    | other -> raise (Parse_error (line, "unknown directive: " ^ other))
+    | other -> error ("unknown directive: " ^ other)
   in
   { dir_line = line; dir_kind = kind }
 

@@ -206,7 +206,15 @@ let assemble source =
       let lineno = idx + 1 in
       match Directive.recognize raw with
       | Some payload ->
-          directives := Directive.parse ~line:lineno payload :: !directives
+          (* the directive's column: its first non-blank character *)
+          let col =
+            1
+            + Seq.length
+                (Seq.take_while
+                   (fun c -> c = ' ' || c = '\t')
+                   (String.to_seq raw))
+          in
+          directives := Directive.parse ~line:lineno ~col payload :: !directives
       | None ->
           if is_comment_line raw then ()
           else

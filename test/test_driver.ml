@@ -162,35 +162,93 @@ let read_all path =
   close_in ic;
   s
 
-(* a malformed source through the real command line: the source verbs
-   report FILE:LINE:COL and exit 2 instead of an uncaught exception *)
-let test_cli_located_parse_error () =
-  (* cwd is _build/default/test under `dune runtest` *)
+(* the built command line; cwd is _build/default/test under
+   `dune runtest` *)
+let with_cli f =
   match
     List.find_opt Sys.file_exists
       [ "../bin/autocfd_cli.exe"; "_build/default/bin/autocfd_cli.exe" ]
   with
   | None -> Alcotest.skip ()
-  | Some cli ->
-      let src = Filename.temp_file "autocfd_bad" ".f" in
-      let err = Filename.temp_file "autocfd_bad" ".err" in
-      let oc = open_out_bin src in
-      output_string oc "      program t\n      x = (1 + 2\n      end\n";
-      close_out oc;
-      List.iter
-        (fun verb ->
-          let code =
-            Sys.command
-              (Printf.sprintf "%s %s %s > /dev/null 2> %s" cli verb
-                 (Filename.quote src) (Filename.quote err))
-          in
-          Alcotest.(check int) (verb ^ ": exit code") 2 code;
-          Alcotest.(check string) (verb ^ ": diagnostic")
-            (src ^ ":2:17: expected ) but found <newline>\n")
-            (read_all err))
-        [ "parallelize"; "analyze"; "analyze --report"; "run --no-cache" ];
-      Sys.remove src;
-      Sys.remove err
+  | Some cli -> f cli
+
+(* run [cli args], returning the exit code and the captured stdout or
+   stderr *)
+let run_cli ?(stderr = false) cli args =
+  let out = Filename.temp_file "autocfd_cli" ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s %s %s" cli args
+         (if stderr then "> /dev/null 2>" else "2> /dev/null >")
+         (Filename.quote out))
+  in
+  let text = read_all out in
+  Sys.remove out;
+  (code, text)
+
+(* a malformed source through the real command line: the source verbs
+   report FILE:LINE:COL, the source line and a caret under the column,
+   and exit 2 instead of an uncaught exception *)
+let test_cli_located_parse_error () =
+  with_cli @@ fun cli ->
+  let check_source text verbs want =
+    let src = Filename.temp_file "autocfd_bad" ".f" in
+    let oc = open_out_bin src in
+    output_string oc text;
+    close_out oc;
+    List.iter
+      (fun verb ->
+        let code, err =
+          run_cli ~stderr:true cli (verb ^ " " ^ Filename.quote src)
+        in
+        Alcotest.(check int) (verb ^ ": exit code") 2 code;
+        Alcotest.(check string) (verb ^ ": diagnostic") (src ^ want) err)
+      verbs;
+    Sys.remove src
+  in
+  check_source "      program t\n      x = (1 + 2\n      end\n"
+    [ "parallelize"; "analyze"; "analyze --report"; "run --no-cache" ]
+    ":2:17: expected ) but found <newline>\n\
+    \      x = (1 + 2\n\
+    \                ^\n";
+  check_source "      program t\n c$acfd grid(ni\n      end\n"
+    [ "parallelize" ]
+    ":2:2: unterminated directive argument list\n\
+    \ c$acfd grid(ni\n\
+    \ ^\n";
+  (* a truncated source fails on the end-of-input token, which has no
+     source line: the located line alone, no caret *)
+  check_source "      program t\n      x = 1\n"
+    [ "parallelize"; "analyze"; "run --no-cache" ]
+    ":0:0: expected a statement but found <eof>\n"
+
+(* the one command tree serves the benchmark verbs and both gates *)
+let test_cli_surface () =
+  with_cli @@ fun cli ->
+  let help args =
+    let code, text = run_cli cli (args ^ " --help=plain") in
+    Alcotest.(check int) (args ^ " --help: exit code") 0 code;
+    text
+  in
+  let mentions text word =
+    let n = String.length word in
+    let rec go i =
+      i + n <= String.length text
+      && (String.sub text i n = word || go (i + 1))
+    in
+    go 0
+  in
+  let bench = help "bench" in
+  List.iter
+    (fun verb ->
+      Alcotest.(check bool) ("bench --help lists " ^ verb) true
+        (mentions bench verb))
+    [ "engine"; "coverage"; "chaos"; "fabric"; "baseline"; "micro" ];
+  List.iter
+    (fun verb ->
+      Alcotest.(check bool) (verb ^ " --help shows --check") true
+        (mentions (help verb) "--check"))
+    [ "tune"; "tables" ]
 
 let test_infeasible_partition () =
   let t = D.load heat in
@@ -271,4 +329,5 @@ let suite =
     ("table 1 rows", `Slow, test_table1_rows);
     ("renderers", `Slow, test_renderers_nonempty);
     ("cli located parse error", `Quick, test_cli_located_parse_error);
+    ("cli surface", `Quick, test_cli_surface);
   ]

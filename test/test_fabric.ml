@@ -203,12 +203,29 @@ let expect_squares results n =
       | Error e -> Alcotest.failf "job %d failed: %s" i e)
     results
 
+(* [square_spec] for the workers named in [names], except that each
+   worker's first job is held until every one of them has started a job:
+   a worker holds one lease at a time, so no worker can finish the batch
+   before the others have connected and been handed work *)
+let rendezvous_square names =
+  let m = Mutex.create () and started = ref [] in
+  let count () = Mutex.protect m (fun () -> List.length !started) in
+  fun name spec ->
+    Mutex.protect m (fun () ->
+        if not (List.mem name !started) then started := name :: !started);
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while count () < List.length names && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    square_spec spec
+
 let test_fabric_end_to_end () =
   let cfg = { Fabric.default_cfg with Fabric.fb_grace = 5.0 } in
   let fb = Fabric.create ~cfg ~listen:(Fabric.Unix_path (next_sock ())) () in
   let addr = Fabric.addr fb in
-  let w1 = serve_thread ~id:"alpha" addr square_spec in
-  let w2 = serve_thread ~id:"beta" addr square_spec in
+  let resolve = rendezvous_square [ "alpha"; "beta" ] in
+  let w1 = serve_thread ~id:"alpha" addr (resolve "alpha") in
+  let w2 = serve_thread ~id:"beta" addr (resolve "beta") in
   let results, stats = Fabric.run fb (List.init 12 job) in
   expect_squares results 12;
   Alcotest.(check int) "no errors" 0 stats.Sched.Pool.ps_errors;

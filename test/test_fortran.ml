@@ -477,7 +477,6 @@ let prop_parser_total =
       match Parser.parse src with
       | _ -> true
       | exception Loc.Error _ -> true
-      | exception Directive.Parse_error _ -> true
       | exception _ -> false)
 
 
@@ -512,7 +511,8 @@ let test_pretty_sched_annotations () =
 
 
 (* parser and lexer diagnostics point at the offending token's source
-   column, labels and leading blanks included *)
+   column, labels and leading blanks included; directive diagnostics at
+   the directive's first character *)
 let test_diagnostic_columns () =
   List.iter
     (fun (src, want_line, want_col) ->
@@ -527,6 +527,9 @@ let test_diagnostic_columns () =
       ("      program t\n  10  x = (1\n      end\n", 2, 13);
       ("      program t\n      x = 1 # 2\n      end\n", 2, 13);
       ("      program t\n      y = 'open\n      end\n", 2, 11);
+      (* a malformed directive is located at its own line and column *)
+      ("c$acfd grid(ni, nj)\n  c$acfd grid(ni\n      program t\n      end\n",
+       2, 3);
     ]
 
 let suite =

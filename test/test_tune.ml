@@ -3,9 +3,9 @@
 
     Pareto pruning is checked against hand-built entry sets: strict
     domination removes exactly the dominated points, exact ties never
-    dominate each other (and collapse to one representative preferring a
-    measured wall clock), and degenerate inputs where every point varies
-    along a single axis reduce to a single-element frontier.  The codec
+    dominate each other (and collapse to one representative), and
+    degenerate inputs where every point varies along a single axis
+    reduce to a single-element frontier.  The codec
     test feeds a pre-tune Runspec document (no plan-time fields) through
     [of_json] and checks it decodes to the defaults and re-encodes to
     the current canonical form. *)
@@ -14,12 +14,11 @@ module T = Autocfd.Tune
 module R = Autocfd.Runspec
 module J = Autocfd_obs.Json
 
-let entry ?(spec = R.default) ?(parts = [| 2; 2 |]) ?wall time comm mem =
+let entry ?(spec = R.default) ?(parts = [| 2; 2 |]) time comm mem =
   {
     T.te_spec = spec;
     T.te_parts = parts;
-    T.te_metrics =
-      { T.tm_time = time; T.tm_comm = comm; T.tm_mem = mem; T.tm_wall = wall };
+    T.te_metrics = { T.tm_time = time; T.tm_comm = comm; T.tm_mem = mem };
   }
 
 let metrics e = e.T.te_metrics
@@ -79,14 +78,18 @@ let test_frontier_single_axis () =
   Alcotest.(check int) "mem-only frontier is one point" 1 (List.length f)
 
 let test_frontier_tie_collapse () =
-  (* exact metric ties collapse to one representative, preferring a
-     measured wall clock *)
-  let plain = entry 1.0 10.0 100.0 in
-  let walled = entry ~wall:0.25 1.0 10.0 100.0 in
-  let f = T.frontier [ plain; walled ] in
-  Alcotest.(check int) "tie collapses" 1 (List.length f);
-  Alcotest.(check bool) "wall-measured representative" true
-    ((metrics (List.hd f)).T.tm_wall = Some 0.25)
+  (* exact metric ties collapse to one representative: the first in
+     report order, so the default knobs win the tie *)
+  let ff =
+    entry ~spec:R.(with_combine Autocfd_syncopt.Optimizer.First_fit default)
+      1.0 10.0 100.0
+  in
+  let optimal = entry 1.0 10.0 100.0 in
+  let other = entry 2.0 5.0 100.0 in
+  let f = T.frontier [ ff; other; optimal ] in
+  Alcotest.(check int) "tie collapses" 2 (List.length f);
+  Alcotest.(check bool) "default-knob representative" true
+    ((List.hd f).T.te_spec.R.combine = Autocfd_syncopt.Optimizer.Optimal)
 
 let test_winner_deterministic () =
   let a = entry ~parts:[| 4; 1 |] 1.0 10.0 100.0 in
@@ -235,7 +238,7 @@ let suite =
     ("dominance relation", `Quick, test_dominates);
     ("frontier prunes dominated points", `Quick, test_frontier_prunes_dominated);
     ("single-axis degenerate frontiers", `Quick, test_frontier_single_axis);
-    ("metric ties collapse, preferring wall", `Quick, test_frontier_tie_collapse);
+    ("metric ties collapse", `Quick, test_frontier_tie_collapse);
     ("winner is deterministic", `Quick, test_winner_deterministic);
     ("point enumeration", `Quick, test_points_enumeration);
     ("eval is deterministic", `Quick, test_eval_deterministic);
