@@ -367,10 +367,15 @@ let coverage ~manifest ~update =
   print_string (E.render_coverage_fission ());
   coverage_gate ~manifest ~update
 
+(* minor words per flop above which fused kernels are boxing
+   intermediates again (they did at about 4) *)
+let max_fused_words_per_flop = 0.1
+
 (* tree-walking vs compiled vs fused-kernel vs Domains execution.
-   --check fails if any engine disagrees or the fused tier stops paying
+   --check fails if any engine disagrees, the fused tier stops paying
    for itself (its speedup over the tree walker drops below the plain
-   compiled engine's), then runs the coverage-manifest sub-gate *)
+   compiled engine's) or allocates per flop, then runs the
+   coverage-manifest sub-gate *)
 let engine so ~check ~manifest ~update =
   let rows = with_sweep so (fun sw -> E.engine_bench ~sweep:sw ()) in
   print_string (E.render_engine rows);
@@ -387,6 +392,10 @@ let engine so ~check ~manifest ~update =
         if r.E.er_fused_speedup < r.E.er_speedup then
           fail "FAIL %s: fused speedup %.2f below compiled speedup %.2f"
             r.E.er_program r.E.er_fused_speedup r.E.er_speedup;
+        if r.E.er_fused_words_per_flop > max_fused_words_per_flop then
+          fail "FAIL %s: fused kernels allocate %.4f words/flop (limit %g)"
+            r.E.er_program r.E.er_fused_words_per_flop
+            max_fused_words_per_flop;
         (* the point of running for real: parallel wall-clock must beat
            the single-threaded fused simulation convincingly on the 3-d
            app (4 ranks -> at least 2x).  Only enforceable when the host
@@ -403,10 +412,10 @@ let engine so ~check ~manifest ~update =
             "SKIP %s: 2x domains floor needs >= 4 cores, host has %d\n"
             r.E.er_program cores;
         Printf.printf
-          "OK %s: fused %.2fx >= compiled %.2fx, domains %.2fx wall-clock, \
-           results identical\n"
+          "OK %s: fused %.2fx >= compiled %.2fx, %.4f words/flop, domains \
+           %.2fx wall-clock, results identical\n"
           r.E.er_program r.E.er_fused_speedup r.E.er_speedup
-          r.E.er_domains_speedup)
+          r.E.er_fused_words_per_flop r.E.er_domains_speedup)
       rows;
   if check then
     List.iter

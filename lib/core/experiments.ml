@@ -395,7 +395,8 @@ let exec_spec spec =
          Domains engine is timed on the wall clock it measures
          itself (Sys.time would sum CPU across domains); the fused
          run is single-threaded, so its CPU time is its wall time *)
-      let lplan = Driver.plan ~spec:(parts_spec parts) (Driver.load large_source) in
+      let ltask = Driver.load large_source in
+      let lplan = Driver.plan ~spec:(parts_spec parts) ltask in
       let lrun engine () =
         Driver.run ~spec:(Runspec.with_engine engine Runspec.default)
           lplan
@@ -409,6 +410,15 @@ let exec_spec spec =
         && program_state_identical lref dres
       in
       let fused_wall_s = time_run lfused in
+      (* the fused tier's own rate and allocation: one sequential run of
+         the large instance, its unit compiled beforehand so only the
+         execution is counted ([Gc.minor_words] is per domain, so other
+         sweep jobs do not leak in) *)
+      ignore (Autocfd_interp.Compile.of_unit ~fuse:true ltask.Driver.inlined);
+      let w0 = Gc.minor_words () and c0 = Unix.gettimeofday () in
+      let seq = Driver.run_seq ltask in
+      let seq_s = Unix.gettimeofday () -. c0 in
+      let seq_words = Gc.minor_words () -. w0 in
       let ds_wall r =
         match r.Autocfd_interp.Spmd.domains with
         | Some ds -> ds.Autocfd_interp.Spmd.ds_wall
@@ -473,6 +483,8 @@ let exec_spec spec =
           ("compiled_s", J.Float compiled_s);
           ("fused_s", J.Float fused_s);
           ("fused_wall_s", J.Float fused_wall_s);
+          ("fused_words_per_flop", J.Float (seq_words /. seq.Driver.sq_flops));
+          ("fused_mflops", J.Float (seq.Driver.sq_flops /. seq_s /. 1e6));
           ("domains_s", J.Float domains_s);
           ("identical", J.Bool identical);
           ("domains_identical", J.Bool domains_identical);
@@ -894,6 +906,8 @@ type engine_row = {
   er_domains_speedup : float;
   er_domains_identical : bool;
   er_calibration : M.calibration;
+  er_fused_words_per_flop : float;
+  er_fused_mflops : float;
 }
 
 (* (name, small source, large source, partition): the small instance keeps
@@ -928,7 +942,7 @@ let engine_bench ?sweep () =
                  ("large_src", J.Str (Sched.Job.digest large_source));
                  (* row-schema version: bumped when the measured columns
                     change so stale cached rows are not replayed *)
-                 ("columns", J.Str "v3-fission");
+                 ("columns", J.Str "v4-alloc");
                ])
           ~spec:
             (J.Obj
@@ -974,6 +988,8 @@ let engine_bench ?sweep () =
             cal_compute_r2 = jf "cal_compute_r2" r;
             cal_comm_r2 = jf "cal_comm_r2" r;
           };
+        er_fused_words_per_flop = jf "fused_words_per_flop" r;
+        er_fused_mflops = jf "fused_mflops" r;
       })
     engine_cases
     (run_jobs sw ~table:"engine" jobs)
@@ -1161,7 +1177,8 @@ let render_engine rows =
       ~headers:
         [ "program"; "partition"; "tree (s)"; "compiled (s)"; "fused (s)";
           "no-fission fused (s)"; "domains (s)"; "speedup"; "fused speedup";
-          "domains speedup"; "loops fused (pre->post fission)"; "identical" ]
+          "domains speedup"; "fused words/flop"; "fused Mflop/s";
+          "loops fused (pre->post fission)"; "identical" ]
   in
   List.iter
     (fun r ->
@@ -1178,6 +1195,8 @@ let render_engine rows =
           cell_float r.er_speedup;
           cell_float r.er_fused_speedup;
           cell_float r.er_domains_speedup;
+          cell_float ~decimals:4 r.er_fused_words_per_flop;
+          cell_float ~decimals:1 r.er_fused_mflops;
           Printf.sprintf "%d/%d -> %d/%d" nf_fused nf_total fused total;
           (if r.er_identical && r.er_domains_identical
               && r.er_fission_identical
@@ -1568,6 +1587,8 @@ let tables_json ?sweep () =
             ("speedup", J.Float r.er_speedup);
             ("fused_speedup", J.Float r.er_fused_speedup);
             ("domains_speedup", J.Float r.er_domains_speedup);
+            ("fused_words_per_flop", J.Float r.er_fused_words_per_flop);
+            ("fused_mflops", J.Float r.er_fused_mflops);
             ( "loops_fused",
               J.Int (fst (coverage_counts r.er_coverage)) );
             ( "loops_total",

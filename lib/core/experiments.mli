@@ -164,6 +164,10 @@ type engine_row = {
           are measured wall clock) *)
   er_calibration : Autocfd_perfmodel.Model.calibration;
       (** model primitives fitted from the Domains run's measurements *)
+  er_fused_words_per_flop : float;
+      (** minor-heap words allocated per flop by a sequential fused run
+          of the larger instance (boxed kernel intermediates show here) *)
+  er_fused_mflops : float;  (** that run's flop rate, wall clock *)
 }
 
 val engine_bench : ?sweep:sweep -> unit -> engine_row list

@@ -850,6 +850,62 @@ exception Unfusable of reason
 
 module Iv = Autocfd_util.Interval
 
+(* ------------------------------------------------------------------ *)
+(* Kernel bodies: a flat instruction array over a float register file  *)
+(* ------------------------------------------------------------------ *)
+
+(* A nest body compiles to a flat array of instructions, run in order
+   once per innermost iteration.  Every float node stores its result
+   into its own slot of a per-execution [float array] register file, so
+   no intermediate float is ever boxed (without flambda, a closure that
+   returns a float returns it boxed).  Array elements are operands read
+   inline by the instruction that consumes them; float constants are
+   preloaded into registers, and real scalars live in registers loaded
+   at nest entry and written back at exit.
+
+   Boxing traps fix the shape of this code (DESIGN.md §9): a primitive
+   such as [Array.unsafe_set] is applied directly, never through a local
+   binding, which compiles to a polymorphic [caml_modify] store; an
+   intrinsic passed as a first-class function boxes its argument and its
+   result, so ops are selected by an inlined integer switch instead; and
+   each result goes straight into its store.
+
+   An instruction takes a single [frame] argument, so each dispatch is a
+   direct call of the closure's code pointer rather than [caml_applyN].
+   The frame is allocated at nest entry; it must never be reachable from
+   [cu] or from a closure built at compile time, because every rank of a
+   Domains run executes the same [cu] concurrently. *)
+type frame = {
+  fr_st : state;
+  fr_adata : float array array;  (* [fr_st.adata] *)
+  fr_offs : int array;  (* per-reference flat offsets, this iteration *)
+  fr_vals : int array;  (* loop variable values, outermost first *)
+  fr_regs : float array;
+}
+
+type instr = frame -> unit
+
+(* a float operand: a register, or an element through a registered
+   reference (array slot, reference id) *)
+type opnd = Reg of int | Elt of int * int
+
+(* a float node not yet emitted: its consumer chooses the destination,
+   so a statement's root node stores straight into the array element or
+   scalar register it assigns *)
+type node =
+  | N1 of int * opnd  (* [unop] code *)
+  | N2 of int * opnd * opnd  (* [binop] code *)
+  | N3 of int * opnd * opnd * opnd
+      (* [(a op1 b) op2 c] or [a op2 (b op1 c)], op1 and op2 arithmetic:
+         see [binop2] *)
+
+(* what a body expression compiles to *)
+type fv =
+  | Vi of (frame -> int) * int option
+      (* integer-valued (never boxed); the value when it is a constant *)
+  | Vo of opnd
+  | Vn of node
+
 (* entry-invariant affine form of a subscript over the fused loop
    variables: [sum coeff_l * var_l + const + sum mul_s * slot_s] *)
 type aff = {
@@ -873,6 +929,10 @@ type fenv = {
       (* scalar slots assigned by an earlier body statement: reads of
          these observe the current iteration, never the entry value, so
          they are exempt from the entry sset precheck *)
+  e_code : instr list ref;  (* the body's instructions, reversed *)
+  e_nregs : int ref;
+  e_kregs : (int * float) list ref;  (* constant registers and values *)
+  e_sregs : (int, int) Hashtbl.t;  (* real scalar slot -> its register *)
 }
 
 let aff_zero env = { af_coeff = Array.make env.e_m 0; af_const = 0; af_syms = [] }
@@ -1087,20 +1147,261 @@ and icomp_trunc env (fl : int ref) (e : Ast.expr) : state -> int =
       | _ -> raise (Unfusable Bound_not_integer))
   | e -> fst (icomp env fl e)
 
-(* body expressions: closures over (state, ref offsets, loop var values),
-   flops counted statically into [e_flops] (the kernel never touches
-   [st.flops] per iteration) *)
-type fe =
-  | Ff of (state -> int array -> int array -> float)
-  | Fi of (state -> int array -> int array -> int)
+let[@inline] reg f r = Array.unsafe_get f.fr_regs r
 
-let as_ff = function
-  | Ff f -> f
-  | Fi f -> fun st offs vals -> float_of_int (f st offs vals)
+let[@inline] elt f s k =
+  Array.unsafe_get
+    (Array.unsafe_get f.fr_adata s)
+    (Array.unsafe_get f.fr_offs k)
 
-let as_fi = function
-  | Fi f -> f
-  | Ff f -> fun st offs vals -> truncate (f st offs vals)
+let[@inline] set_elt f s k v =
+  Array.unsafe_set
+    (Array.unsafe_get f.fr_adata s)
+    (Array.unsafe_get f.fr_offs k)
+    v
+
+(* unop codes *)
+let u_neg = 0
+and u_abs = 1
+
+let unop_code = function
+  | "sqrt" -> Some 2
+  | "exp" -> Some 3
+  | "log" -> Some 4
+  | "sin" -> Some 5
+  | "cos" -> Some 6
+  | "tan" -> Some 7
+  | "atan" -> Some 8
+  | _ -> None
+
+let[@inline] unop op x =
+  match op with
+  | 0 -> -.x
+  | 1 -> Float.abs x
+  | 2 -> Float.sqrt x
+  | 3 -> Float.exp x
+  | 4 -> Float.log x
+  | 5 -> Float.sin x
+  | 6 -> Float.cos x
+  | 7 -> Float.tan x
+  | _ -> Float.atan x
+
+(* binop codes; the four arithmetic ops come first so that a two-op
+   instruction encodes its pair as [op1 * 4 + op2] *)
+let b_pow = 4
+and b_rem = 5
+and b_sign = 6
+and b_max = 7
+and b_min = 8
+
+(* [Add | Sub | Mul | Div | Pow] *)
+let arith_code = function
+  | Ast.Add -> 0
+  | Ast.Sub -> 1
+  | Ast.Mul -> 2
+  | Ast.Div -> 3
+  | _ -> b_pow
+
+let[@inline] binop op x y =
+  match op with
+  | 0 -> x +. y
+  | 1 -> x -. y
+  | 2 -> x *. y
+  | 3 -> x /. y
+  | 4 -> Float.pow x y
+  | 5 -> Float.rem x y
+  | 6 -> if y >= 0.0 then Float.abs x else -.Float.abs x
+  | 7 -> Float.max x y
+  | _ -> Float.min x y
+
+(* two arithmetic ops in one instruction: code [op1 * 4 + op2] is
+   [(x op1 y) op2 z], and 16 more is [x op2 (y op1 z)] *)
+let[@inline] binop2 op x y z =
+  match op with
+  | 0 -> x +. y +. z
+  | 1 -> x +. y -. z
+  | 2 -> (x +. y) *. z
+  | 3 -> (x +. y) /. z
+  | 4 -> x -. y +. z
+  | 5 -> x -. y -. z
+  | 6 -> (x -. y) *. z
+  | 7 -> (x -. y) /. z
+  | 8 -> (x *. y) +. z
+  | 9 -> (x *. y) -. z
+  | 10 -> x *. y *. z
+  | 11 -> x *. y /. z
+  | 12 -> (x /. y) +. z
+  | 13 -> (x /. y) -. z
+  | 14 -> x /. y *. z
+  | 15 -> x /. y /. z
+  | 16 -> x +. (y +. z)
+  | 17 -> x -. (y +. z)
+  | 18 -> x *. (y +. z)
+  | 19 -> x /. (y +. z)
+  | 20 -> x +. (y -. z)
+  | 21 -> x -. (y -. z)
+  | 22 -> x *. (y -. z)
+  | 23 -> x /. (y -. z)
+  | 24 -> x +. (y *. z)
+  | 25 -> x -. (y *. z)
+  | 26 -> x *. (y *. z)
+  | 27 -> x /. (y *. z)
+  | 28 -> x +. (y /. z)
+  | 29 -> x -. (y /. z)
+  | 30 -> x *. (y /. z)
+  | _ -> x /. (y /. z)
+
+(* one instruction per (destination, operand kinds) combination, chosen
+   at compile time *)
+let emit_node (dst : opnd) (n : node) : instr =
+  match (dst, n) with
+  | Reg d, N1 (op, Reg x) ->
+      fun f -> Array.unsafe_set f.fr_regs d (unop op (reg f x))
+  | Reg d, N1 (op, Elt (s, k)) ->
+      fun f -> Array.unsafe_set f.fr_regs d (unop op (elt f s k))
+  | Elt (ds, dk), N1 (op, Reg x) -> fun f -> set_elt f ds dk (unop op (reg f x))
+  | Elt (ds, dk), N1 (op, Elt (s, k)) ->
+      fun f -> set_elt f ds dk (unop op (elt f s k))
+  | Reg d, N2 (op, Reg x, Reg y) ->
+      fun f -> Array.unsafe_set f.fr_regs d (binop op (reg f x) (reg f y))
+  | Reg d, N2 (op, Reg x, Elt (s, k)) ->
+      fun f -> Array.unsafe_set f.fr_regs d (binop op (reg f x) (elt f s k))
+  | Reg d, N2 (op, Elt (s, k), Reg y) ->
+      fun f -> Array.unsafe_set f.fr_regs d (binop op (elt f s k) (reg f y))
+  | Reg d, N2 (op, Elt (s, k), Elt (s', k')) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d (binop op (elt f s k) (elt f s' k'))
+  | Elt (ds, dk), N2 (op, Reg x, Reg y) ->
+      fun f -> set_elt f ds dk (binop op (reg f x) (reg f y))
+  | Elt (ds, dk), N2 (op, Reg x, Elt (s, k)) ->
+      fun f -> set_elt f ds dk (binop op (reg f x) (elt f s k))
+  | Elt (ds, dk), N2 (op, Elt (s, k), Reg y) ->
+      fun f -> set_elt f ds dk (binop op (elt f s k) (reg f y))
+  | Elt (ds, dk), N2 (op, Elt (s, k), Elt (s', k')) ->
+      fun f -> set_elt f ds dk (binop op (elt f s k) (elt f s' k'))
+  | Reg d, N3 (op, Reg x, Reg y, Reg z) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d (binop2 op (reg f x) (reg f y) (reg f z))
+  | Reg d, N3 (op, Reg x, Reg y, Elt (s, k)) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (reg f x) (reg f y) (elt f s k))
+  | Reg d, N3 (op, Reg x, Elt (s, k), Reg z) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (reg f x) (elt f s k) (reg f z))
+  | Reg d, N3 (op, Reg x, Elt (s, k), Elt (s', k')) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (reg f x) (elt f s k) (elt f s' k'))
+  | Reg d, N3 (op, Elt (s, k), Reg y, Reg z) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (elt f s k) (reg f y) (reg f z))
+  | Reg d, N3 (op, Elt (s, k), Reg y, Elt (s', k')) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (elt f s k) (reg f y) (elt f s' k'))
+  | Reg d, N3 (op, Elt (s, k), Elt (s', k'), Reg z) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (elt f s k) (elt f s' k') (reg f z))
+  | Reg d, N3 (op, Elt (s, k), Elt (s', k'), Elt (s'', k'')) ->
+      fun f ->
+        Array.unsafe_set f.fr_regs d
+          (binop2 op (elt f s k) (elt f s' k') (elt f s'' k''))
+  | Elt (ds, dk), N3 (op, Reg x, Reg y, Reg z) ->
+      fun f -> set_elt f ds dk (binop2 op (reg f x) (reg f y) (reg f z))
+  | Elt (ds, dk), N3 (op, Reg x, Reg y, Elt (s, k)) ->
+      fun f -> set_elt f ds dk (binop2 op (reg f x) (reg f y) (elt f s k))
+  | Elt (ds, dk), N3 (op, Reg x, Elt (s, k), Reg z) ->
+      fun f -> set_elt f ds dk (binop2 op (reg f x) (elt f s k) (reg f z))
+  | Elt (ds, dk), N3 (op, Reg x, Elt (s, k), Elt (s', k')) ->
+      fun f ->
+        set_elt f ds dk (binop2 op (reg f x) (elt f s k) (elt f s' k'))
+  | Elt (ds, dk), N3 (op, Elt (s, k), Reg y, Reg z) ->
+      fun f -> set_elt f ds dk (binop2 op (elt f s k) (reg f y) (reg f z))
+  | Elt (ds, dk), N3 (op, Elt (s, k), Reg y, Elt (s', k')) ->
+      fun f ->
+        set_elt f ds dk (binop2 op (elt f s k) (reg f y) (elt f s' k'))
+  | Elt (ds, dk), N3 (op, Elt (s, k), Elt (s', k'), Reg z) ->
+      fun f ->
+        set_elt f ds dk (binop2 op (elt f s k) (elt f s' k') (reg f z))
+  | Elt (ds, dk), N3 (op, Elt (s, k), Elt (s', k'), Elt (s'', k'')) ->
+      fun f ->
+        set_elt f ds dk (binop2 op (elt f s k) (elt f s' k') (elt f s'' k''))
+
+let emit_copy (dst : opnd) (src : opnd) : instr =
+  match (dst, src) with
+  | Reg d, Reg x -> fun f -> Array.unsafe_set f.fr_regs d (reg f x)
+  | Reg d, Elt (s, k) -> fun f -> Array.unsafe_set f.fr_regs d (elt f s k)
+  | Elt (ds, dk), Reg x -> fun f -> set_elt f ds dk (reg f x)
+  | Elt (ds, dk), Elt (s, k) -> fun f -> set_elt f ds dk (elt f s k)
+
+let emit_of_int (dst : opnd) (g : frame -> int) : instr =
+  match dst with
+  | Reg d -> fun f -> Array.unsafe_set f.fr_regs d (float_of_int (g f))
+  | Elt (ds, dk) -> fun f -> set_elt f ds dk (float_of_int (g f))
+
+let emit env i = env.e_code := i :: !(env.e_code)
+
+let fresh_reg env =
+  let r = !(env.e_nregs) in
+  incr env.e_nregs;
+  r
+
+let const_reg env c =
+  let r = fresh_reg env in
+  env.e_kregs := (r, c) :: !(env.e_kregs);
+  Reg r
+
+(* the register that holds real scalar slot [i] for the whole nest *)
+let scalar_reg env i =
+  match Hashtbl.find_opt env.e_sregs i with
+  | Some r -> Reg r
+  | None ->
+      let r = fresh_reg env in
+      Hashtbl.add env.e_sregs i r;
+      Reg r
+
+(* emit the instruction(s) that store [v] (as a float) into [dst] *)
+let store env dst = function
+  | Vn n -> emit env (emit_node dst n)
+  | Vo o -> emit env (emit_copy dst o)
+  | Vi (_, Some c) -> emit env (emit_copy dst (const_reg env (float_of_int c)))
+  | Vi (g, None) -> emit env (emit_of_int dst g)
+
+let as_opnd env = function
+  | Vo o -> o
+  | Vi (_, Some c) -> const_reg env (float_of_int c)
+  | v ->
+      let d = Reg (fresh_reg env) in
+      store env d v;
+      d
+
+let as_real env = function Vi _ as v -> Vo (as_opnd env v) | v -> v
+
+let as_fi env = function
+  | Vi (g, _) -> g
+  | v -> (
+      match as_opnd env v with
+      | Reg r -> fun f -> truncate (reg f r)
+      | Elt (s, k) -> fun f -> truncate (elt f s k))
+
+let vi_const c = Vi ((fun _ -> c), Some c)
+
+(* a float binop over compiled operands.  An arithmetic binop over a
+   pending arithmetic binop fuses into one two-op instruction, the left
+   operand first *)
+let fbin env op a b =
+  match (a, b) with
+  | Vn (N2 (op1, x, y)), _ when op1 < 4 && op < 4 ->
+      Vn (N3 ((op1 * 4) + op, x, y, as_opnd env b))
+  | _, Vn (N2 (op1, y, z)) when op1 < 4 && op < 4 ->
+      Vn (N3 (16 + (op1 * 4) + op, as_opnd env a, y, z))
+  | _ ->
+      let x = as_opnd env a in
+      Vn (N2 (op, x, as_opnd env b))
 
 let reg_ref env slot (args : Ast.expr list) : int =
   let bounds = env.e_ctx.x_bounds.(slot) in
@@ -1112,15 +1413,17 @@ let reg_ref env slot (args : Ast.expr list) : int =
   env.e_refs := (slot, affs) :: !(env.e_refs);
   id
 
-let rec fcomp env (e : Ast.expr) : fe =
+(* flops are counted statically into [e_flops] (the kernel never touches
+   [st.flops] per iteration) *)
+let rec fcomp env (e : Ast.expr) : fv =
   match e with
-  | Ast.Const_int c -> Fi (fun _ _ _ -> c)
-  | Ast.Const_real f -> Ff (fun _ _ _ -> f)
+  | Ast.Const_int c -> vi_const c
+  | Ast.Const_real f -> Vo (const_reg env f)
   | Ast.Const_bool _ | Ast.Const_str _ ->
       raise (Unfusable Non_arith_value)
   | Ast.Var x -> (
       match Hashtbl.find_opt env.e_lvl x with
-      | Some l -> Fi (fun _ _ vals -> Array.unsafe_get vals l)
+      | Some l -> Vi ((fun f -> Array.unsafe_get f.fr_vals l), None)
       | None -> (
           match Hashtbl.find_opt env.e_ctx.x_sc x with
           | Some i when env.e_ctx.x_kinds.(i) = KInt ->
@@ -1129,32 +1432,26 @@ let rec fcomp env (e : Ast.expr) : fe =
                  from the entry sset precheck *)
               if not (Hashtbl.mem env.e_wrscal i) then
                 env.e_reads := i :: !(env.e_reads);
-              Fi (fun st _ _ -> Array.unsafe_get st.si i)
+              Vi ((fun f -> Array.unsafe_get f.fr_st.si i), None)
           | Some i when env.e_ctx.x_kinds.(i) = KReal ->
               if not (Hashtbl.mem env.e_wrscal i) then
                 env.e_reads := i :: !(env.e_reads);
-              Ff (fun st _ _ -> Array.unsafe_get st.sf i)
+              Vo (scalar_reg env i)
           | _ -> (
               match Hashtbl.find_opt env.e_ctx.x_consts x with
-              | Some (Value.Int c) -> Fi (fun _ _ _ -> c)
-              | Some (Value.Real r) -> Ff (fun _ _ _ -> r)
+              | Some (Value.Int c) -> vi_const c
+              | Some (Value.Real r) -> Vo (const_reg env r)
               | _ -> raise (Unfusable Non_arith_scalar))))
   | Ast.Ref (name, args) -> (
       match Hashtbl.find_opt env.e_ctx.x_ar name with
-      | Some slot ->
-          let id = reg_ref env slot args in
-          Ff
-            (fun st offs _ ->
-              Array.unsafe_get
-                (Array.unsafe_get st.adata slot)
-                (Array.unsafe_get offs id))
+      | Some slot -> Vo (Elt (slot, reg_ref env slot args))
       | None -> fintr env name args)
   | Ast.Unop (Ast.Neg, a) -> (
       match fcomp env a with
-      | Fi f -> Fi (fun st offs vals -> -f st offs vals)
-      | Ff f ->
+      | Vi (g, c) -> Vi ((fun f -> -g f), Option.map (fun c -> -c) c)
+      | v ->
           incr env.e_flops;
-          Ff (fun st offs vals -> -.f st offs vals))
+          Vn (N1 (u_neg, as_opnd env v)))
   | Ast.Unop (Ast.Lnot, _) -> raise (Unfusable Logical_in_body)
   | Ast.Binop (op, a, b) -> (
       let ca = fcomp env a in
@@ -1162,166 +1459,144 @@ let rec fcomp env (e : Ast.expr) : fe =
       match op with
       | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow -> (
           match (ca, cb) with
-          | Fi fa, Fi fb -> (
+          | Vi (fa, ka), Vi (fb, kb) -> (
+              (* folded when both sides are constants *)
+              let fold g h =
+                match (ka, kb) with
+                | Some x, Some y -> vi_const (g x y)
+                | _ -> Vi (h, None)
+              in
               match op with
-              | Ast.Add -> Fi (fun st o v -> fa st o v + fb st o v)
-              | Ast.Sub -> Fi (fun st o v -> fa st o v - fb st o v)
-              | Ast.Mul -> Fi (fun st o v -> fa st o v * fb st o v)
+              | Ast.Add -> fold ( + ) (fun f -> fa f + fb f)
+              | Ast.Sub -> fold ( - ) (fun f -> fa f - fb f)
+              | Ast.Mul -> fold ( * ) (fun f -> fa f * fb f)
               | Ast.Div -> (
                   (* by a nonzero constant only: error-free, and OCaml's
                      [/] truncates toward zero like the machine's
                      integer division; charges no flops *)
                   match cfold env b with
-                  | Some c when c <> 0 -> Fi (fun st o v -> fa st o v / c)
+                  | Some c when c <> 0 -> (
+                      match ka with
+                      | Some x -> vi_const (x / c)
+                      | None -> Vi ((fun f -> fa f / c), None))
                   | _ -> raise (Unfusable Int_division))
               | Ast.Pow -> (
                   match cfold env b with
                   | Some y when y >= 0 ->
-                      Fi
-                        (fun st o v ->
-                          let x = fa st o v in
-                          let rec pow acc n =
-                            if n = 0 then acc else pow (acc * x) (n - 1)
-                          in
-                          pow 1 y)
+                      let ipow x =
+                        let rec pow acc n =
+                          if n = 0 then acc else pow (acc * x) (n - 1)
+                        in
+                        pow 1 y
+                      in
+                      (match ka with
+                      | Some x -> vi_const (ipow x)
+                      | None -> Vi ((fun f -> ipow (fa f)), None))
                   | _ -> raise (Unfusable Dynamic_exponent))
               | _ -> assert false)
           | _ ->
-              let fa = as_ff ca and fb = as_ff cb in
               incr env.e_flops;
-              let arith g = Ff (fun st o v -> g (fa st o v) (fb st o v)) in
-              (match op with
-              | Ast.Add -> arith (fun x y -> x +. y)
-              | Ast.Sub -> arith (fun x y -> x -. y)
-              | Ast.Mul -> arith (fun x y -> x *. y)
-              | Ast.Div -> arith (fun x y -> x /. y)
-              | Ast.Pow -> arith Float.pow
-              | _ -> assert false))
+              fbin env (arith_code op) ca cb)
       | _ -> raise (Unfusable Logical_in_body))
   | Ast.Local_lo _ | Ast.Local_hi _ ->
       raise (Unfusable Local_bound_in_body)
 
-and fintr env name args : fe =
-  let f1 g =
-    match args with
-    | [ a ] ->
-        let f = as_ff (fcomp env a) in
-        incr env.e_flops;
-        Ff (fun st o v -> g (f st o v))
-    | _ -> raise (Unfusable (Intrinsic_arity name))
-  in
+and fintr env name args : fv =
   match name with
   | "abs" -> (
       match args with
       | [ a ] -> (
           match fcomp env a with
-          | Fi f -> Fi (fun st o v -> abs (f st o v))
-          | Ff f ->
+          | Vi (g, c) -> Vi ((fun f -> abs (g f)), Option.map abs c)
+          | v ->
               incr env.e_flops;
-              Ff (fun st o v -> Float.abs (f st o v)))
+              Vn (N1 (u_abs, as_opnd env v)))
       | _ -> raise (Unfusable (Intrinsic_arity "abs")))
-  | "sqrt" -> f1 Float.sqrt
-  | "exp" -> f1 Float.exp
-  | "log" -> f1 Float.log
-  | "sin" -> f1 Float.sin
-  | "cos" -> f1 Float.cos
-  | "tan" -> f1 Float.tan
-  | "atan" -> f1 Float.atan
   | "max" | "amax1" | "min" | "amin1" -> (
-      let g = if name = "max" || name = "amax1" then Float.max else Float.min in
+      let op = if name = "max" || name = "amax1" then b_max else b_min in
       match args with
       | a :: rest when rest <> [] ->
-          let fa = as_ff (fcomp env a) in
-          let frest =
-            Array.of_list (List.map (fun e -> as_ff (fcomp env e)) rest)
-          in
-          env.e_flops := !(env.e_flops) + Array.length frest;
-          Ff
-            (fun st o v ->
-              let acc = ref (fa st o v) in
-              for i = 0 to Array.length frest - 1 do
-                acc := g !acc ((Array.unsafe_get frest i) st o v)
-              done;
-              !acc)
+          (* a left fold, one flop per step *)
+          List.fold_left
+            (fun acc e ->
+              let v = fcomp env e in
+              incr env.e_flops;
+              fbin env op acc v)
+            (fcomp env a) rest
       | _ -> raise (Unfusable (Intrinsic_arity name)))
   | "max0" | "min0" -> (
       match args with
       | [ a; b ] ->
-          let fa = as_fi (fcomp env a) and fb = as_fi (fcomp env b) in
-          let g = if name = "max0" then max else min in
-          Fi (fun st o v -> g (fa st o v) (fb st o v))
+          let fa = as_fi env (fcomp env a) in
+          let fb = as_fi env (fcomp env b) in
+          if name = "max0" then Vi ((fun f -> max (fa f) (fb f)), None)
+          else Vi ((fun f -> min (fa f) (fb f)), None)
       | _ -> raise (Unfusable (Intrinsic_arity name)))
   | "mod" -> (
       match args with
       | [ a; b ] -> (
           match (fcomp env a, fcomp env b) with
-          | Fi _, Fi _ -> raise (Unfusable Int_mod)
+          | Vi _, Vi _ -> raise (Unfusable Int_mod)
           | ca, cb ->
-              let fa = as_ff ca and fb = as_ff cb in
               incr env.e_flops;
-              Ff (fun st o v -> Float.rem (fa st o v) (fb st o v)))
+              fbin env b_rem ca cb)
       | _ -> raise (Unfusable (Intrinsic_arity "mod")))
   | "float" | "real" | "dble" -> (
       match args with
-      | [ a ] -> Ff (as_ff (fcomp env a))
+      | [ a ] -> as_real env (fcomp env a)
       | _ -> raise (Unfusable (Intrinsic_arity name)))
   | "int" -> (
       match args with
-      | [ a ] -> Fi (as_fi (fcomp env a))
+      | [ a ] -> Vi (as_fi env (fcomp env a), None)
       | _ -> raise (Unfusable (Intrinsic_arity "int")))
   | "sign" -> (
       match args with
       | [ a; b ] ->
-          let fa = as_ff (fcomp env a) and fb = as_ff (fcomp env b) in
+          let ca = fcomp env a in
+          let cb = fcomp env b in
           incr env.e_flops;
-          Ff
-            (fun st o v ->
-              let x = fa st o v in
-              let y = fb st o v in
-              if y >= 0.0 then Float.abs x else -.Float.abs x)
+          fbin env b_sign ca cb
       | _ -> raise (Unfusable (Intrinsic_arity "sign")))
-  | _ -> raise (Unfusable (Unknown_intrinsic name))
+  | _ -> (
+      match unop_code name with
+      | Some op -> (
+          match args with
+          | [ a ] ->
+              let v = fcomp env a in
+              incr env.e_flops;
+              Vn (N1 (op, as_opnd env v))
+          | _ -> raise (Unfusable (Intrinsic_arity name)))
+      | None -> raise (Unfusable (Unknown_intrinsic name)))
 
-(* one body assignment: rhs into an unsafe store through the target's
-   registered reference *)
-let comp_kstmt env (s : Ast.stmt) :
-    (state -> int array -> int array -> unit) option =
+(* one body assignment: its instructions, the last storing through the
+   target's registered reference or into the scalar's register *)
+let comp_kstmt env (s : Ast.stmt) =
   match s.Ast.s_kind with
-  | Ast.Continue -> None
+  | Ast.Continue -> ()
   | Ast.Assign (Ast.Ref (name, args), rhs) -> (
       match Hashtbl.find_opt env.e_ctx.x_ar name with
       | None -> raise (Unfusable Undeclared_array)
       | Some slot ->
-          let rf = as_ff (fcomp env rhs) in
-          let wid = reg_ref env slot args in
-          Some
-            (fun st offs vals ->
-              let v = rf st offs vals in
-              Array.unsafe_set
-                (Array.unsafe_get st.adata slot)
-                (Array.unsafe_get offs wid)
-                v))
+          let v = fcomp env rhs in
+          store env (Elt (slot, reg_ref env slot args)) v)
   | Ast.Assign (Ast.Var x, rhs) -> (
-      (* iteration-local scratch scalar: backed by its own slot, written
-         each iteration exactly like the machine (the slot's exit value is
-         the last iteration's) *)
+      (* iteration-local scratch scalar: a real one lives in its register
+         (written back at exit, so the slot's exit value is the last
+         iteration's, exactly like the machine); an integer one is
+         written to its slot each iteration *)
       if Hashtbl.mem env.e_lvl x then
         raise (Unfusable Assign_to_loop_var);
       match Hashtbl.find_opt env.e_ctx.x_sc x with
       | Some i when env.e_ctx.x_kinds.(i) = KReal ->
-          let rf = as_ff (fcomp env rhs) in
+          let v = fcomp env rhs in
           Hashtbl.replace env.e_wrscal i ();
-          Some
-            (fun st offs vals ->
-              Array.unsafe_set st.sf i (rf st offs vals);
-              Array.unsafe_set st.sset i true)
+          store env (scalar_reg env i) v
       | Some i when env.e_ctx.x_kinds.(i) = KInt ->
-          let rf = as_fi (fcomp env rhs) in
+          let g = as_fi env (fcomp env rhs) in
           Hashtbl.replace env.e_wrscal i ();
-          Some
-            (fun st offs vals ->
-              Array.unsafe_set st.si i (rf st offs vals);
-              Array.unsafe_set st.sset i true)
+          emit env (fun f ->
+              Array.unsafe_set f.fr_st.si i (g f);
+              Array.unsafe_set f.fr_st.sset i true)
       | _ -> raise (Unfusable Scalar_assign))
   | Ast.Assign _ -> raise (Unfusable Bad_assign_target)
   | _ -> raise (Unfusable Non_assign_stmt)
@@ -1440,6 +1715,10 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
       e_flops = ref 0;
       e_wrb = wrb;
       e_wrscal = Hashtbl.create 8;
+      e_code = ref [];
+      e_nregs = ref 0;
+      e_kregs = ref [];
+      e_sregs = Hashtbl.create 8;
     }
   in
   (* fpb.(l): flops the machine charges for one evaluation of level l's
@@ -1467,8 +1746,19 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
            | None -> fun _ -> 1)
          levels)
   in
-  let stmt_fns = Array.of_list (List.filter_map (comp_kstmt env) stmts) in
-  if Array.length stmt_fns = 0 then raise (Unfusable Empty_body);
+  List.iter (comp_kstmt env) stmts;
+  let code = Array.of_list (List.rev !(env.e_code)) in
+  if Array.length code = 0 then raise (Unfusable Empty_body);
+  let reg_init = Array.make !(env.e_nregs) 0.0 in
+  List.iter (fun (r, c) -> reg_init.(r) <- c) !(env.e_kregs);
+  (* (slot, register) of every real scalar the body touches, and of
+     those it assigns *)
+  let sregs = Hashtbl.fold (fun i r acc -> (i, r) :: acc) env.e_sregs [] in
+  let wregs =
+    Array.of_list
+      (List.filter (fun (i, _) -> Hashtbl.mem env.e_wrscal i) sregs)
+  in
+  let sregs = Array.of_list sregs in
   let fpi = !(env.e_flops) in
   let kinfo =
     Array.of_list
@@ -1512,7 +1802,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
   let nrefs = Array.length kinfo in
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
-  let ns = Array.length stmt_fns in
+  let ns = Array.length code in
   fun fallback st ->
     (* any entry-read slot unset, zero step, empty trip space, or an
        unprovable subscript range: run the closure IR, which reproduces
@@ -1573,6 +1863,15 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             in
             let vals = Array.make m 0 in
             let offs = Array.make nrefs 0 in
+            let regs = Array.copy reg_init in
+            for j = 0 to Array.length sregs - 1 do
+              let i, r = sregs.(j) in
+              regs.(r) <- st.sf.(i)
+            done;
+            let fr =
+              { fr_st = st; fr_adata = st.adata; fr_offs = offs;
+                fr_vals = vals; fr_regs = regs }
+            in
             let kd =
               Array.map (fun k -> k.k_flat.(m - 1) * steps.(m - 1)) kinfo
             in
@@ -1592,7 +1891,7 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                 vals.(m - 1) <- lom;
                 for _ = 1 to tm do
                   for s = 0 to ns - 1 do
-                    (Array.unsafe_get stmt_fns s) st offs vals
+                    (Array.unsafe_get code s) fr
                   done;
                   for r = 0 to nrefs - 1 do
                     Array.unsafe_set offs r
@@ -1610,6 +1909,11 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
               end
             in
             go 0;
+            for j = 0 to Array.length wregs - 1 do
+              let i, r = wregs.(j) in
+              st.sf.(i) <- regs.(r);
+              st.sset.(i) <- true
+            done;
             (* batched charge: body flops per point times the trip-space
                size, plus the machine's bound-evaluation charges (level
                l's bounds are re-evaluated once per enclosing iteration) *)

@@ -2,12 +2,16 @@
 
     {!compile} lowers a program unit into a closure-based IR exactly once:
     every scalar name is resolved to an integer slot in a typed bank
-    (separate unboxed [float]/[int]/[bool] banks, so the hot real-arithmetic
-    path never boxes), every array reference is lowered to a fused
-    row-major-offset computation over strides precomputed from the declared
-    bounds, and int/real arithmetic is specialized at compile time (the
-    machine's dynamic [Value.scalar] dispatch survives only for the rare
-    statically-untypeable expression).
+    (separate [float]/[int]/[bool] arrays, so stored scalars are never
+    boxed), every array reference is lowered to a fused row-major-offset
+    computation over strides precomputed from the declared bounds, and
+    int/real arithmetic is specialized at compile time (the machine's
+    dynamic [Value.scalar] dispatch survives only for the rare
+    statically-untypeable expression).  Without flambda, each real
+    expression closure of this IR returns a boxed float.  The fused tier
+    ([~fuse:true]) does not: its kernels run flat instruction arrays over
+    a per-execution float register file and allocate nothing per
+    iteration.
 
     Semantics — results, WRITE output, flop charges, runtime-error messages,
     GOTO/label behavior — are bit-identical to {!Machine} running the same

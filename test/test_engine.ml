@@ -10,7 +10,10 @@
     partition shapes each.  A PRNG-driven property suite additionally
     generates random affine loop nests (including deliberate fall-back
     shapes: non-affine subscripts, reductions, zero-trip and negative-step
-    loops) and asserts the same three-way equivalence. *)
+    loops) and asserts the same three-way equivalence; a second one
+    generates bodies that reach every fused-kernel instruction shape,
+    and the fused tier is also checked for concurrent use of one
+    compiled unit and for allocating almost nothing per flop. *)
 
 module D = Autocfd.Driver
 
@@ -472,6 +475,319 @@ let test_app_coverage () =
       ("heat2d", 3, read_file (heat2d_path ()));
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Fused-kernel instruction coverage: a second random-nest suite       *)
+(* ------------------------------------------------------------------ *)
+
+(* The fused tier lowers a nest body to instructions specialised on
+   their destination (array element or scalar register) and on the kind
+   of each operand (register: constant, scalar or computed node; or array
+   element), with the op chosen by an integer code.  Every body this
+   generator emits reaches each unary, binary and two-op instruction
+   shape with each destination and operand-kind combination, and each op
+   code, besides copies, int-to-real promotion of loop-variable
+   arithmetic, [int()], [**] with integer and real exponents, 3- and
+   4-argument max/min, real PARAMETER constants and scratch scalars
+   written then read.  Operands are chosen so values stay finite and
+   NaN-free: arrays a, b, c hold values in [-1, 1] and are only
+   rewritten through roots that keep them there,
+   p holds values in [1.25, 2] and is never written, and every divisor,
+   log or sqrt argument and real-exponent base is bounded away from
+   zero.  Arbitrary results go to the sink array d, which nothing
+   reads. *)
+
+type okind = Kreg | Kelt
+
+let pick rng a = Prng.choose rng a
+let near rng v = pick rng [| v; v ^ "-1"; v ^ "+1" |]
+
+(* an operand of the given kind with |value| <= 3 *)
+let any_opnd rng = function
+  | Kreg -> pick rng [| "0.5"; "1.25"; "3.0"; "0.125"; "rk"; "s1"; "t1" |]
+  | Kelt -> (
+      match Prng.int rng 3 with
+      | 0 -> Printf.sprintf "a(%s,%s)" (near rng "i") (near rng "j")
+      | 1 -> Printf.sprintf "b(%s,%s)" (near rng "i") (near rng "j")
+      | _ -> Printf.sprintf "c(%s)" (near rng "i"))
+
+(* an operand of the given kind with value >= 0.75 *)
+let pos_opnd rng = function
+  | Kreg -> pick rng [| "2.0"; "1.25"; "rk"; "t2" |]
+  | Kelt -> Printf.sprintf "p(%s,%s)" (near rng "i") (near rng "j")
+
+let kinds = [| Kreg; Kelt |]
+let unops = [| "-"; "abs"; "sqrt"; "exp"; "log"; "sin"; "cos"; "tan"; "atan" |]
+
+let binops =
+  [| "+"; "-"; "*"; "/"; "**"; "mod"; "sign"; "max"; "min" |]
+
+let arith = [| "+"; "-"; "*"; "/" |]
+
+let gen_unop rng op k =
+  match op with
+  | "-" -> (
+      (* a negated literal folds at parse time: negate a name *)
+      match k with
+      | Kreg -> "(-" ^ pick rng [| "rk"; "s1"; "t1" |] ^ ")"
+      | Kelt -> "(-" ^ any_opnd rng Kelt ^ ")")
+  | "sqrt" | "log" -> op ^ "(" ^ pos_opnd rng k ^ ")"
+  | _ -> op ^ "(" ^ any_opnd rng k ^ ")"
+
+let gen_binop rng op k1 k2 =
+  match op with
+  | "+" | "-" | "*" ->
+      Printf.sprintf "(%s %s %s)" (any_opnd rng k1) op (any_opnd rng k2)
+  | "/" -> Printf.sprintf "(%s / %s)" (any_opnd rng k1) (pos_opnd rng k2)
+  | "**" -> Printf.sprintf "(%s ** %s)" (pos_opnd rng k1) (any_opnd rng k2)
+  | "mod" -> Printf.sprintf "mod(%s, %s)" (any_opnd rng k1) (pos_opnd rng k2)
+  | _ -> Printf.sprintf "%s(%s, %s)" op (any_opnd rng k1) (any_opnd rng k2)
+
+(* [(x op1 y) op2 z]; a divisor is positive *)
+let gen_left rng op1 op2 (k1, k2, k3) =
+  let y = if op1 = "/" then pos_opnd rng k2 else any_opnd rng k2 in
+  let z = if op2 = "/" then pos_opnd rng k3 else any_opnd rng k3 in
+  Printf.sprintf "((%s %s %s) %s %s)" (any_opnd rng k1) op1 y op2 z
+
+(* [x op2 (y op1 z)]; a divisor, [z] or [(y op1 z)], is bounded away
+   from zero *)
+let gen_right rng op1 op2 (k1, k2, k3) =
+  let y, z =
+    if op2 <> "/" then
+      (any_opnd rng k2, (if op1 = "/" then pos_opnd else any_opnd) rng k3)
+    else if op1 <> "-" then (pos_opnd rng k2, pos_opnd rng k3)
+    else
+      (* y >= 1.25 > |z| *)
+      ( (match k2 with
+        | Kreg -> pick rng [| "t2"; "2.0" |]
+        | Kelt -> pos_opnd rng Kelt),
+        match k3 with
+        | Kreg -> pick rng [| "0.5"; "0.125" |]
+        | Kelt -> Printf.sprintf "a(%s,%s)" (near rng "i") (near rng "j") )
+  in
+  Printf.sprintf "(%s %s (%s %s %s))" (any_opnd rng k1) op2 y op1 z
+
+let all_triples =
+  List.concat_map
+    (fun a ->
+      List.concat_map (fun b -> List.map (fun c -> (a, b, c)) [ Kreg; Kelt ])
+        [ Kreg; Kelt ])
+    [ Kreg; Kelt ]
+
+(* one coverage-nest body, as items of lines; [`Sink e] stores [e] into
+   the next slice of d (an array-element destination), [`Scratch e]
+   assigns it to scalar u (a register destination) and then copies u
+   into d *)
+let gen_cover_items rng =
+  let items = ref [] in
+  let add it = items := it :: !items in
+  let sink e = `Sink e and scratch e = `Scratch e in
+  let dst e = add ((if Prng.bool rng then sink else scratch) e) in
+  let k () = pick rng kinds in
+  let x () = any_opnd rng (k ()) in
+  let op a = pick rng a in
+  (* every op of each shape, random kinds and destination *)
+  Array.iter (fun u -> dst (gen_unop rng u (k ()))) unops;
+  Array.iter (fun b -> dst (gen_binop rng b (k ()) (k ()))) binops;
+  Array.iter
+    (fun op1 ->
+      Array.iter
+        (fun op2 ->
+          dst (gen_left rng op1 op2 (k (), k (), k ()));
+          dst (gen_right rng op1 op2 (k (), k (), k ())))
+        arith)
+    arith;
+  (* every destination x operand-kind combination, random ops *)
+  List.iter
+    (fun d ->
+      Array.iter
+        (fun k1 ->
+          add (d (gen_unop rng (op unops) k1));
+          add (d (any_opnd rng k1));
+          Array.iter
+            (fun k2 -> add (d (gen_binop rng (op binops) k1 k2)))
+            kinds)
+        kinds;
+      List.iter
+        (fun ks ->
+          add (d (gen_left rng (op arith) (op arith) ks));
+          add (d (gen_right rng (op arith) (op arith) ks)))
+        all_triples;
+      (* loop-variable arithmetic promoted to real *)
+      add
+        (d
+           (Printf.sprintf "%s %s 2*j" (op [| "i"; "3" |])
+              (op [| "+"; "-"; "*" |]))))
+    [ sink; scratch ];
+  (* the named shapes *)
+  List.iter dst
+    [
+      Printf.sprintf "%s / (2.0 + abs(%s))" (x ()) (x ());
+      Printf.sprintf "%s ** 2" (x ());
+      Printf.sprintf "%s ** 3 - %s" (x ()) (x ());
+      Printf.sprintf "%s ** %s" (pos_opnd rng (k ()))
+        (op [| "1.5"; "0.5"; "rk" |]);
+      Printf.sprintf "mod(%s, 2.0 + abs(%s))" (x ()) (x ());
+      Printf.sprintf "float(int(3.0 * %s)) + %s" (x ()) (x ());
+      Printf.sprintf "int(2.5 * %s) * %s" (x ()) (x ());
+      Printf.sprintf "sqrt(abs(%s))" (x ());
+      Printf.sprintf "exp(sin(%s))" (x ());
+      Printf.sprintf "log(1.0 + abs(%s))" (x ());
+      Printf.sprintf "tan(%s) + atan(%s)" (x ()) (x ());
+      Printf.sprintf "max(%s, %s, %s)" (x ()) (x ()) (x ());
+      Printf.sprintf "min(%s, %s, %s, %s)" (x ()) (x ()) (x ()) (x ());
+      Printf.sprintf "amax1(%s, %s, %s, %s)" (x ()) (x ()) (x ()) (x ());
+      Printf.sprintf "-%s * float(i - j)" (x ());
+    ];
+  (* bounded rewrites of the arrays the body reads *)
+  add
+    (`Line
+       (Printf.sprintf "a(i,j) = sin(%s)"
+          (gen_left rng (op arith) (op arith) (k (), k (), k ()))));
+  add (`Line "b(i,j) = max(a(i-1,j), b(i,j+1), c(i))");
+  add
+    (`Line
+       (Printf.sprintf "c(i) = cos(%s)"
+          (gen_binop rng (op binops) (k ()) (k ()))));
+  add (`Line "a(i+1,j) = sign(c(i), t1 - 0.5)");
+  let items = Array.of_list (List.rev !items) in
+  Prng.shuffle rng items;
+  items
+
+let gen_cover_program rng =
+  let items = gen_cover_items rng in
+  let body = Buffer.create 8192 in
+  let nk = ref 0 in
+  let line s = Buffer.add_string body ("          " ^ s ^ "\n") in
+  let sink e =
+    incr nk;
+    line (Printf.sprintf "d(i,j,%d) = %s" !nk e)
+  in
+  (* scratch scalars written then read by the rest of the body *)
+  line
+    (Printf.sprintf "t1 = %s + %s" (any_opnd rng Kelt) (any_opnd rng Kelt));
+  line "t2 = 2.0 + abs(t1)";
+  Array.iter
+    (function
+      | `Sink e -> sink e
+      | `Scratch e ->
+          line ("u = " ^ e);
+          sink "u"
+      | `Line s -> line s)
+    items;
+  let buf = Buffer.create 16384 in
+  let add = Buffer.add_string buf in
+  add "c$acfd grid(m, n)\n";
+  add "c$acfd status(a, b)\n";
+  add "      program cover\n";
+  add (Printf.sprintf "      parameter (m = 12, n = 10, nk = %d)\n" !nk);
+  add "      parameter (rk = 0.75)\n";
+  add "      real a(m,n), b(m,n), c(m), p(m,n), d(m,n,nk)\n";
+  add "      real s1, t1, t2, u\n";
+  add "      integer i, j\n";
+  add "      s1 = 0.3\n";
+  add "      do i = 1, 12\n        do j = 1, 10\n";
+  add "          a(i,j) = sin(0.7*float(i) + 0.3*float(j))\n";
+  add "          b(i,j) = cos(0.4*float(i) - 0.5*float(j))\n";
+  add "          p(i,j) = 1.625 + 0.375*sin(float(i*j))\n";
+  add "        enddo\n      enddo\n";
+  add "      do i = 1, 12\n        c(i) = 0.08*float(i)\n      enddo\n";
+  add "      do i = 2, 11\n        do j = 2, 9\n";
+  Buffer.add_buffer buf body;
+  add "        enddo\n      enddo\n";
+  add "      write(*,*) t1, t2, u, a(3,3), b(5,7), c(4), d(6,5,1)\n";
+  add "      end\n";
+  Buffer.contents buf
+
+let test_random_cover_nests () =
+  let rng = Prng.create 0xc0de5 in
+  for case = 1 to 8 do
+    let src = gen_cover_program (Prng.split rng) in
+    let name = Printf.sprintf "coverage nest %d" case in
+    (try
+       let t = D.load src in
+       let tree = D.run_seq ~spec:(R.with_engine I.Spmd.Tree R.default) t in
+       List.iter
+         (fun (n, (arr : I.Value.arr)) ->
+           Array.iteri
+             (fun o x ->
+               if not (Float.is_finite x) then
+                 Alcotest.failf "%s: %s holds a non-finite value at offset %d"
+                   name n o)
+             arr.I.Value.data)
+         tree.D.sq_arrays;
+       check_sequential name src;
+       let cov =
+         I.Compile.coverage (I.Compile.of_unit ~fuse:true t.D.inlined)
+       in
+       List.iter
+         (fun (ce : I.Compile.coverage_entry) ->
+           Alcotest.(check string)
+             (Printf.sprintf "%s: line %d fused" name ce.I.Compile.cov_line)
+             "fused"
+             (I.Compile.reason_to_string ce.I.Compile.cov_reason))
+         cov;
+       Alcotest.(check bool) (name ^ ": has a fused nest") true (cov <> [])
+     with e ->
+       Printf.eprintf "--- failing program (%s) ---\n%s\n" name src;
+       raise e)
+  done
+
+(* two states of one compiled unit, running at the same time on two
+   domains, must each match a run on its own: the fused tier's register
+   file and frame belong to one nest execution and are never reached
+   through the shared unit *)
+let test_fused_concurrent_states () =
+  let t =
+    D.load (Autocfd_apps.Aerofoil.source ~ni:24 ~nj:12 ~nk:8 ~ntime:4 ())
+  in
+  let cu = I.Compile.of_unit ~fuse:true t.D.inlined in
+  let result st =
+    ( List.map (fun n -> (n, I.Compile.array st n)) (I.Compile.array_names st),
+      I.Compile.flops st )
+  in
+  let alone =
+    let st = I.Compile.create cu in
+    I.Compile.run st;
+    result st
+  in
+  let started = Atomic.make 0 in
+  let run () =
+    let st = I.Compile.create cu in
+    Atomic.incr started;
+    while Atomic.get started < 2 do
+      Domain.cpu_relax ()
+    done;
+    I.Compile.run st;
+    result st
+  in
+  let d1 = Domain.spawn run in
+  let d2 = Domain.spawn run in
+  List.iteri
+    (fun i (arrays, flops) ->
+      let what = Printf.sprintf "domain %d" (i + 1) in
+      check_array_list what "concurrent fused states" (fst alone) arrays;
+      Alcotest.(check (float 0.0)) (what ^ ": flops") (snd alone) flops)
+    [ Domain.join d1; Domain.join d2 ]
+
+(* the allocation gate: a sequential fused run allocates almost nothing
+   per flop (boxed intermediates would cost about 4 words per flop) *)
+let test_fused_allocation () =
+  List.iter
+    (fun (name, src) ->
+      let t = D.load src in
+      ignore (I.Compile.of_unit ~fuse:true t.D.inlined);
+      let w0 = Gc.minor_words () in
+      let r = D.run_seq t in
+      let per_flop = (Gc.minor_words () -. w0) /. r.D.sq_flops in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words per flop <= 0.1" name per_flop)
+        true (per_flop <= 0.1))
+    [
+      ( "aerofoil",
+        Autocfd_apps.Aerofoil.source ~ni:24 ~nj:12 ~nk:8 ~ntime:2 () );
+      ("sprayer", Autocfd_apps.Sprayer.source ~ni:80 ~nj:40 ~ntime:4 ());
+    ]
+
 let suite =
   [
     ("sprayer engines identical", `Slow, test_sprayer);
@@ -486,4 +802,7 @@ let suite =
     ("domains trace parity + rejections", `Quick, test_domains_trace_parity);
     ("random nests three-way identical", `Slow, test_random_nests);
     ("fused kernel coverage 100%", `Quick, test_app_coverage);
+    ("random nests cover every instruction", `Slow, test_random_cover_nests);
+    ("fused states run concurrently", `Quick, test_fused_concurrent_states);
+    ("fused kernels allocation-free", `Quick, test_fused_allocation);
   ]
