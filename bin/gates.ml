@@ -371,11 +371,17 @@ let coverage ~manifest ~update =
    intermediates again (they did at about 4) *)
 let max_fused_words_per_flop = 0.1
 
+(* per app, the least share of a sequential fused run's flops that must
+   run as row strips.  The share is a flop count, so it does not depend
+   on the host: 0.792 (aerofoil) and 0.930 (sprayer) when the floors
+   were set.  Falling below means some nest lost its strips *)
+let min_strip_share = [ ("aerofoil", 0.75); ("sprayer", 0.9) ]
+
 (* tree-walking vs compiled vs fused-kernel vs Domains execution.
    --check fails if any engine disagrees, the fused tier stops paying
    for itself (its speedup over the tree walker drops below the plain
-   compiled engine's) or allocates per flop, then runs the
-   coverage-manifest sub-gate *)
+   compiled engine's), allocates per flop or runs too few flops as
+   row strips, then runs the coverage-manifest sub-gate *)
 let engine so ~check ~manifest ~update =
   let rows = with_sweep so (fun sw -> E.engine_bench ~sweep:sw ()) in
   print_string (E.render_engine rows);
@@ -396,6 +402,11 @@ let engine so ~check ~manifest ~update =
           fail "FAIL %s: fused kernels allocate %.4f words/flop (limit %g)"
             r.E.er_program r.E.er_fused_words_per_flop
             max_fused_words_per_flop;
+        (match List.assoc_opt r.E.er_program min_strip_share with
+        | Some floor when r.E.er_fused_strip_share < floor ->
+            fail "FAIL %s: %.3f of the fused flops ran as row strips (floor %g)"
+              r.E.er_program r.E.er_fused_strip_share floor
+        | _ -> ());
         (* the point of running for real: parallel wall-clock must beat
            the single-threaded fused simulation convincingly on the 3-d
            app (4 ranks -> at least 2x).  Only enforceable when the host
@@ -412,10 +423,11 @@ let engine so ~check ~manifest ~update =
             "SKIP %s: 2x domains floor needs >= 4 cores, host has %d\n"
             r.E.er_program cores;
         Printf.printf
-          "OK %s: fused %.2fx >= compiled %.2fx, %.4f words/flop, domains \
-           %.2fx wall-clock, results identical\n"
+          "OK %s: fused %.2fx >= compiled %.2fx, %.4f words/flop, strip \
+           share %.3f, domains %.2fx wall-clock, results identical\n"
           r.E.er_program r.E.er_fused_speedup r.E.er_speedup
-          r.E.er_fused_words_per_flop r.E.er_domains_speedup)
+          r.E.er_fused_words_per_flop r.E.er_fused_strip_share
+          r.E.er_domains_speedup)
       rows;
   if check then
     List.iter

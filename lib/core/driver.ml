@@ -160,6 +160,7 @@ type seq_result = {
   sq_output : string list;
   sq_arrays : (string * I.Value.arr) list;
   sq_flops : float;
+  sq_strip_flops : float;
 }
 
 (* per-flop charge matching the reference machine under the plan's per-rank
@@ -194,6 +195,7 @@ let run_seq ?(spec = Runspec.default) t =
             (fun n -> (n, I.Machine.array m n))
             (I.Machine.array_names m);
         sq_flops = I.Machine.flops m;
+        sq_strip_flops = 0.0;
       }
   | I.Spmd.Compiled | I.Spmd.Fused | I.Spmd.Domains as engine ->
       (* Domains differs from Fused only in how ranks execute; the
@@ -211,6 +213,7 @@ let run_seq ?(spec = Runspec.default) t =
             (fun n -> (n, I.Compile.array st n))
             (I.Compile.array_names st);
         sq_flops = I.Compile.flops st;
+        sq_strip_flops = I.Compile.strip_flops st;
       }
 
 let run ?(spec = Runspec.default) plan =

@@ -78,6 +78,9 @@ type seq_result = {
   sq_output : string list;
   sq_arrays : (string * Autocfd_interp.Value.arr) list;
   sq_flops : float;
+  sq_strip_flops : float;
+      (** the part of [sq_flops] fused kernels ran as row strips (0 on the
+          tree walker and the unfused closure IR) *)
 }
 
 val run_seq : ?spec:Runspec.t -> t -> seq_result

@@ -485,6 +485,8 @@ let exec_spec spec =
           ("fused_wall_s", J.Float fused_wall_s);
           ("fused_words_per_flop", J.Float (seq_words /. seq.Driver.sq_flops));
           ("fused_mflops", J.Float (seq.Driver.sq_flops /. seq_s /. 1e6));
+          ( "fused_strip_share",
+            J.Float (seq.Driver.sq_strip_flops /. seq.Driver.sq_flops) );
           ("domains_s", J.Float domains_s);
           ("identical", J.Bool identical);
           ("domains_identical", J.Bool domains_identical);
@@ -908,6 +910,7 @@ type engine_row = {
   er_calibration : M.calibration;
   er_fused_words_per_flop : float;
   er_fused_mflops : float;
+  er_fused_strip_share : float;
 }
 
 (* (name, small source, large source, partition): the small instance keeps
@@ -942,7 +945,7 @@ let engine_bench ?sweep () =
                  ("large_src", J.Str (Sched.Job.digest large_source));
                  (* row-schema version: bumped when the measured columns
                     change so stale cached rows are not replayed *)
-                 ("columns", J.Str "v4-alloc");
+                 ("columns", J.Str "v5-strip");
                ])
           ~spec:
             (J.Obj
@@ -990,6 +993,7 @@ let engine_bench ?sweep () =
           };
         er_fused_words_per_flop = jf "fused_words_per_flop" r;
         er_fused_mflops = jf "fused_mflops" r;
+        er_fused_strip_share = jf "fused_strip_share" r;
       })
     engine_cases
     (run_jobs sw ~table:"engine" jobs)
@@ -1178,6 +1182,7 @@ let render_engine rows =
         [ "program"; "partition"; "tree (s)"; "compiled (s)"; "fused (s)";
           "no-fission fused (s)"; "domains (s)"; "speedup"; "fused speedup";
           "domains speedup"; "fused words/flop"; "fused Mflop/s";
+          "strip share";
           "loops fused (pre->post fission)"; "identical" ]
   in
   List.iter
@@ -1197,6 +1202,7 @@ let render_engine rows =
           cell_float r.er_domains_speedup;
           cell_float ~decimals:4 r.er_fused_words_per_flop;
           cell_float ~decimals:1 r.er_fused_mflops;
+          cell_float ~decimals:3 r.er_fused_strip_share;
           Printf.sprintf "%d/%d -> %d/%d" nf_fused nf_total fused total;
           (if r.er_identical && r.er_domains_identical
               && r.er_fission_identical
@@ -1589,6 +1595,7 @@ let tables_json ?sweep () =
             ("domains_speedup", J.Float r.er_domains_speedup);
             ("fused_words_per_flop", J.Float r.er_fused_words_per_flop);
             ("fused_mflops", J.Float r.er_fused_mflops);
+            ("fused_strip_share", J.Float r.er_fused_strip_share);
             ( "loops_fused",
               J.Int (fst (coverage_counts r.er_coverage)) );
             ( "loops_total",

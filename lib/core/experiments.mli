@@ -168,6 +168,8 @@ type engine_row = {
       (** minor-heap words allocated per flop by a sequential fused run
           of the larger instance (boxed kernel intermediates show here) *)
   er_fused_mflops : float;  (** that run's flop rate, wall clock *)
+  er_fused_strip_share : float;
+      (** the share of that run's flops its kernels ran as row strips *)
 }
 
 val engine_bench : ?sweep:sweep -> unit -> engine_row list

@@ -161,9 +161,17 @@ and state = {
   kcalls : int array;
   kflops : float array;
   kbytes : float array;
+  kstrip : float array;
   mutable kmoved : float;  (* bytes touched by fused kernels, cumulative *)
+  mutable kstripped : float;  (* body flops run as row strips, cumulative *)
   mutable kattr_flops : float;  (* flops already attributed to some nest *)
   mutable kattr_bytes : float;
+  mutable kattr_strip : float;
+  mutable kregs : float array;
+      (* the fused kernels' register file: grown on demand, reused by
+         every nest execution of this state (never allocated per entry:
+         a row-strip file easily passes the 256 words above which an
+         array is allocated on the major heap) *)
 }
 
 and hooks = {
@@ -854,14 +862,27 @@ module Iv = Autocfd_util.Interval
 (* Kernel bodies: a flat instruction array over a float register file  *)
 (* ------------------------------------------------------------------ *)
 
-(* A nest body compiles to a flat array of instructions, run in order
-   once per innermost iteration.  Every float node stores its result
-   into its own slot of a per-execution [float array] register file, so
-   no intermediate float is ever boxed (without flambda, a closure that
-   returns a float returns it boxed).  Array elements are operands read
-   inline by the instruction that consumes them; float constants are
-   preloaded into registers, and real scalars live in registers loaded
-   at nest entry and written back at exit.
+(* A nest body compiles to a flat list of instructions.  Every float
+   node stores its result into its own register of a float register
+   file, so no intermediate float is ever boxed (without flambda, a
+   closure that returns a float returns it boxed).  Array elements are
+   operands read inline by the instruction that consumes them; float
+   constants are preloaded into registers, and real scalars live in
+   registers loaded at nest entry and written back at exit.
+
+   The list is built twice, into two families of [frame -> unit]
+   closures.  A point instruction does one innermost iteration; the
+   nest calls every instruction once per point.  A strip instruction
+   does a whole row: it loads its operand descriptors once, then loops
+   over the [fr_n] points of the strip, so each row costs one call per
+   instruction instead of one per point.  Operand [o] of lane [t] is
+   element [fr_offs.(o) + t * fr_steps.(o)] of [fr_arrs.(o)]: an array
+   reference steps by its row step [kd], and register [r] lives in the
+   register file at [r * w + t] for a lane width [w] (step 1), or, when
+   it holds the same value in every lane (a constant, a real scalar the
+   body only reads), at [r * w] with step 0.  Running a row as a strip
+   reorders instructions across points, never the float operations of
+   one point; when that is legal is decided in [kernel_of].
 
    Boxing traps fix the shape of this code (DESIGN.md §9): a primitive
    such as [Array.unsafe_set] is applied directly, never through a local
@@ -872,15 +893,21 @@ module Iv = Autocfd_util.Interval
 
    An instruction takes a single [frame] argument, so each dispatch is a
    direct call of the closure's code pointer rather than [caml_applyN].
-   The frame is allocated at nest entry; it must never be reachable from
-   [cu] or from a closure built at compile time, because every rank of a
-   Domains run executes the same [cu] concurrently. *)
+   The frame is allocated at nest entry and the register file belongs to
+   the state; neither may be reachable from [cu] or from a closure built
+   at compile time, because every rank of a Domains run executes the
+   same [cu] concurrently. *)
 type frame = {
   fr_st : state;
   fr_adata : float array array;  (* [fr_st.adata] *)
-  fr_offs : int array;  (* per-reference flat offsets, this iteration *)
+  fr_offs : int array;
+      (* per operand: the references' flat offsets at this point (or at
+         the strip's first lane), then each register's lane-0 index *)
   fr_vals : int array;  (* loop variable values, outermost first *)
-  fr_regs : float array;
+  fr_regs : float array;  (* [fr_st.kregs] *)
+  fr_arrs : float array array;  (* strips: per operand, its array *)
+  fr_steps : int array;  (* strips: per operand, its step per lane *)
+  fr_n : int;  (* strips: lanes, the row's points *)
 }
 
 type instr = frame -> unit
@@ -898,6 +925,13 @@ type node =
   | N3 of int * opnd * opnd * opnd
       (* [(a op1 b) op2 c] or [a op2 (b op1 c)], op1 and op2 arithmetic:
          see [binop2] *)
+
+(* one body instruction, before it is built into either family *)
+type ins =
+  | X_node of opnd * node  (* destination, float node *)
+  | X_copy of opnd * opnd  (* destination, source *)
+  | X_of_int of opnd * (frame -> int)  (* destination, integer value *)
+  | X_iset of int * (frame -> int)  (* KInt scalar slot, its value *)
 
 (* what a body expression compiles to *)
 type fv =
@@ -929,7 +963,11 @@ type fenv = {
       (* scalar slots assigned by an earlier body statement: reads of
          these observe the current iteration, never the entry value, so
          they are exempt from the entry sset precheck *)
-  e_code : instr list ref;  (* the body's instructions, reversed *)
+  e_code : ins list ref;  (* the body's instructions, reversed *)
+  e_strip : bool ref;
+      (* no lane-dependent integer value, no read of a real scalar before
+         the body assigns it: the static half of row-strip legality *)
+  e_wrefs : int list ref;  (* ids of the references the body stores to *)
   e_nregs : int ref;
   e_kregs : (int * float) list ref;  (* constant registers and values *)
   e_sregs : (int, int) Hashtbl.t;  (* real scalar slot -> its register *)
@@ -1251,9 +1289,9 @@ let[@inline] binop2 op x y z =
   | 30 -> x *. (y /. z)
   | _ -> x /. (y /. z)
 
-(* one instruction per (destination, operand kinds) combination, chosen
-   at compile time *)
-let emit_node (dst : opnd) (n : node) : instr =
+(* Point instructions: one per (destination, operand kinds) combination,
+   chosen at compile time *)
+let point_node (dst : opnd) (n : node) : instr =
   match (dst, n) with
   | Reg d, N1 (op, Reg x) ->
       fun f -> Array.unsafe_set f.fr_regs d (unop op (reg f x))
@@ -1331,19 +1369,127 @@ let emit_node (dst : opnd) (n : node) : instr =
       fun f ->
         set_elt f ds dk (binop2 op (elt f s k) (elt f s' k') (elt f s'' k''))
 
-let emit_copy (dst : opnd) (src : opnd) : instr =
+let point_copy (dst : opnd) (src : opnd) : instr =
   match (dst, src) with
   | Reg d, Reg x -> fun f -> Array.unsafe_set f.fr_regs d (reg f x)
   | Reg d, Elt (s, k) -> fun f -> Array.unsafe_set f.fr_regs d (elt f s k)
   | Elt (ds, dk), Reg x -> fun f -> set_elt f ds dk (reg f x)
   | Elt (ds, dk), Elt (s, k) -> fun f -> set_elt f ds dk (elt f s k)
 
-let emit_of_int (dst : opnd) (g : frame -> int) : instr =
+let point_of_int (dst : opnd) (g : frame -> int) : instr =
   match dst with
   | Reg d -> fun f -> Array.unsafe_set f.fr_regs d (float_of_int (g f))
   | Elt (ds, dk) -> fun f -> set_elt f ds dk (float_of_int (g f))
 
-let emit env i = env.e_code := i :: !(env.e_code)
+let point_instr = function
+  | X_node (d, n) -> point_node d n
+  | X_copy (d, x) -> point_copy d x
+  | X_of_int (d, g) -> point_of_int d g
+  | X_iset (i, g) ->
+      fun f ->
+        Array.unsafe_set f.fr_st.si i (g f);
+        Array.unsafe_set f.fr_st.sset i true
+
+(* Strip instructions: one per shape, every operand [o] being the
+   descriptor (fr_arrs.(o), fr_offs.(o), fr_steps.(o)) loaded once per
+   strip.  The op switch stays inside the lane loop: it branches the
+   same way on every lane. *)
+let strip1 op d x : instr =
+ fun f ->
+  let arrs = f.fr_arrs and offs = f.fr_offs and steps = f.fr_steps in
+  let da = Array.unsafe_get arrs d
+  and d0 = Array.unsafe_get offs d
+  and dk = Array.unsafe_get steps d in
+  let xa = Array.unsafe_get arrs x
+  and x0 = Array.unsafe_get offs x
+  and xk = Array.unsafe_get steps x in
+  for t = 0 to f.fr_n - 1 do
+    Array.unsafe_set da
+      (d0 + (t * dk))
+      (unop op (Array.unsafe_get xa (x0 + (t * xk))))
+  done
+
+let strip2 op d x y : instr =
+ fun f ->
+  let arrs = f.fr_arrs and offs = f.fr_offs and steps = f.fr_steps in
+  let da = Array.unsafe_get arrs d
+  and d0 = Array.unsafe_get offs d
+  and dk = Array.unsafe_get steps d in
+  let xa = Array.unsafe_get arrs x
+  and x0 = Array.unsafe_get offs x
+  and xk = Array.unsafe_get steps x in
+  let ya = Array.unsafe_get arrs y
+  and y0 = Array.unsafe_get offs y
+  and yk = Array.unsafe_get steps y in
+  for t = 0 to f.fr_n - 1 do
+    Array.unsafe_set da
+      (d0 + (t * dk))
+      (binop op
+         (Array.unsafe_get xa (x0 + (t * xk)))
+         (Array.unsafe_get ya (y0 + (t * yk))))
+  done
+
+let strip3 op d x y z : instr =
+ fun f ->
+  let arrs = f.fr_arrs and offs = f.fr_offs and steps = f.fr_steps in
+  let da = Array.unsafe_get arrs d
+  and d0 = Array.unsafe_get offs d
+  and dk = Array.unsafe_get steps d in
+  let xa = Array.unsafe_get arrs x
+  and x0 = Array.unsafe_get offs x
+  and xk = Array.unsafe_get steps x in
+  let ya = Array.unsafe_get arrs y
+  and y0 = Array.unsafe_get offs y
+  and yk = Array.unsafe_get steps y in
+  let za = Array.unsafe_get arrs z
+  and z0 = Array.unsafe_get offs z
+  and zk = Array.unsafe_get steps z in
+  for t = 0 to f.fr_n - 1 do
+    Array.unsafe_set da
+      (d0 + (t * dk))
+      (binop2 op
+         (Array.unsafe_get xa (x0 + (t * xk)))
+         (Array.unsafe_get ya (y0 + (t * yk)))
+         (Array.unsafe_get za (z0 + (t * zk))))
+  done
+
+let strip_copy d x : instr =
+ fun f ->
+  let arrs = f.fr_arrs and offs = f.fr_offs and steps = f.fr_steps in
+  let da = Array.unsafe_get arrs d
+  and d0 = Array.unsafe_get offs d
+  and dk = Array.unsafe_get steps d in
+  let xa = Array.unsafe_get arrs x
+  and x0 = Array.unsafe_get offs x
+  and xk = Array.unsafe_get steps x in
+  for t = 0 to f.fr_n - 1 do
+    Array.unsafe_set da (d0 + (t * dk)) (Array.unsafe_get xa (x0 + (t * xk)))
+  done
+
+(* the integer is the same in every lane: strips exist only for bodies
+   whose integer values do not depend on the innermost loop variable *)
+let strip_of_int d (g : frame -> int) : instr =
+ fun f ->
+  let da = Array.unsafe_get f.fr_arrs d
+  and d0 = Array.unsafe_get f.fr_offs d
+  and dk = Array.unsafe_get f.fr_steps d in
+  let v = float_of_int (g f) in
+  for t = 0 to f.fr_n - 1 do
+    Array.unsafe_set da (d0 + (t * dk)) v
+  done
+
+(* operand ids: reference [k] is [k], register [r] is [nrefs + r] *)
+let strip_instr ~nrefs =
+  let id = function Elt (_, k) -> k | Reg r -> nrefs + r in
+  function
+  | X_node (d, N1 (op, x)) -> strip1 op (id d) (id x)
+  | X_node (d, N2 (op, x, y)) -> strip2 op (id d) (id x) (id y)
+  | X_node (d, N3 (op, x, y, z)) -> strip3 op (id d) (id x) (id y) (id z)
+  | X_copy (d, x) -> strip_copy (id d) (id x)
+  | X_of_int (d, g) -> strip_of_int (id d) g
+  | X_iset _ -> invalid_arg "Compile.strip_instr: integer scalar store"
+
+let emit env x = env.e_code := x :: !(env.e_code)
 
 let fresh_reg env =
   let r = !(env.e_nregs) in
@@ -1366,10 +1512,10 @@ let scalar_reg env i =
 
 (* emit the instruction(s) that store [v] (as a float) into [dst] *)
 let store env dst = function
-  | Vn n -> emit env (emit_node dst n)
-  | Vo o -> emit env (emit_copy dst o)
-  | Vi (_, Some c) -> emit env (emit_copy dst (const_reg env (float_of_int c)))
-  | Vi (g, None) -> emit env (emit_of_int dst g)
+  | Vn n -> emit env (X_node (dst, n))
+  | Vo o -> emit env (X_copy (dst, o))
+  | Vi (_, Some c) -> emit env (X_copy (dst, const_reg env (float_of_int c)))
+  | Vi (g, None) -> emit env (X_of_int (dst, g))
 
 let as_opnd env = function
   | Vo o -> o
@@ -1381,9 +1527,12 @@ let as_opnd env = function
 
 let as_real env = function Vi _ as v -> Vo (as_opnd env v) | v -> v
 
+(* a truncated float differs from lane to lane: such a body gets no
+   strips *)
 let as_fi env = function
   | Vi (g, _) -> g
   | v -> (
+      env.e_strip := false;
       match as_opnd env v with
       | Reg r -> fun f -> truncate (reg f r)
       | Elt (s, k) -> fun f -> truncate (elt f s k))
@@ -1423,7 +1572,10 @@ let rec fcomp env (e : Ast.expr) : fv =
       raise (Unfusable Non_arith_value)
   | Ast.Var x -> (
       match Hashtbl.find_opt env.e_lvl x with
-      | Some l -> Vi ((fun f -> Array.unsafe_get f.fr_vals l), None)
+      | Some l ->
+          (* the innermost variable's value differs from lane to lane *)
+          if l = env.e_m - 1 then env.e_strip := false;
+          Vi ((fun f -> Array.unsafe_get f.fr_vals l), None)
       | None -> (
           match Hashtbl.find_opt env.e_ctx.x_sc x with
           | Some i when env.e_ctx.x_kinds.(i) = KInt ->
@@ -1434,8 +1586,12 @@ let rec fcomp env (e : Ast.expr) : fv =
                 env.e_reads := i :: !(env.e_reads);
               Vi ((fun f -> Array.unsafe_get f.fr_st.si i), None)
           | Some i when env.e_ctx.x_kinds.(i) = KReal ->
-              if not (Hashtbl.mem env.e_wrscal i) then
+              if not (Hashtbl.mem env.e_wrscal i) then begin
                 env.e_reads := i :: !(env.e_reads);
+                (* read before the body assigns it: the previous point's
+                   value, a reduction such as [e = max(e, ...)] *)
+                if Hashtbl.mem env.e_wrb x then env.e_strip := false
+              end;
               Vo (scalar_reg env i)
           | _ -> (
               match Hashtbl.find_opt env.e_ctx.x_consts x with
@@ -1578,7 +1734,9 @@ let comp_kstmt env (s : Ast.stmt) =
       | None -> raise (Unfusable Undeclared_array)
       | Some slot ->
           let v = fcomp env rhs in
-          store env (Elt (slot, reg_ref env slot args)) v)
+          let k = reg_ref env slot args in
+          env.e_wrefs := k :: !(env.e_wrefs);
+          store env (Elt (slot, k)) v)
   | Ast.Assign (Ast.Var x, rhs) -> (
       (* iteration-local scratch scalar: a real one lives in its register
          (written back at exit, so the slot's exit value is the last
@@ -1594,9 +1752,9 @@ let comp_kstmt env (s : Ast.stmt) =
       | Some i when env.e_ctx.x_kinds.(i) = KInt ->
           let g = as_fi env (fcomp env rhs) in
           Hashtbl.replace env.e_wrscal i ();
-          emit env (fun f ->
-              Array.unsafe_set f.fr_st.si i (g f);
-              Array.unsafe_set f.fr_st.sset i true)
+          (* a value other integer closures read at every point *)
+          env.e_strip := false;
+          emit env (X_iset (i, g))
       | _ -> raise (Unfusable Scalar_assign))
   | Ast.Assign _ -> raise (Unfusable Bad_assign_target)
   | _ -> raise (Unfusable Non_assign_stmt)
@@ -1716,6 +1874,8 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
       e_wrb = wrb;
       e_wrscal = Hashtbl.create 8;
       e_code = ref [];
+      e_strip = ref true;
+      e_wrefs = ref [];
       e_nregs = ref 0;
       e_kregs = ref [];
       e_sregs = Hashtbl.create 8;
@@ -1747,10 +1907,10 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
          levels)
   in
   List.iter (comp_kstmt env) stmts;
-  let code = Array.of_list (List.rev !(env.e_code)) in
-  if Array.length code = 0 then raise (Unfusable Empty_body);
-  let reg_init = Array.make !(env.e_nregs) 0.0 in
-  List.iter (fun (r, c) -> reg_init.(r) <- c) !(env.e_kregs);
+  let body = Array.of_list (List.rev !(env.e_code)) in
+  if Array.length body = 0 then raise (Unfusable Empty_body);
+  let nregs = !(env.e_nregs) in
+  let kregs = Array.of_list !(env.e_kregs) in
   (* (slot, register) of every real scalar the body touches, and of
      those it assigns *)
   let sregs = Hashtbl.fold (fun i r acc -> (i, r) :: acc) env.e_sregs [] in
@@ -1800,6 +1960,38 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
          !(env.e_refs))
   in
   let nrefs = Array.length kinfo in
+  (* Row-strip legality, static half: besides [e_strip], every two
+     references to a written array must move alike along every level
+     (equal flat coefficients), so that their offsets differ by the same
+     [d] in every row.  [pairs] lists each written reference with every
+     other reference to its array, for the dynamic half at entry. *)
+  let pairs =
+    List.concat_map
+      (fun w ->
+        List.filter_map
+          (fun o ->
+            if o = w || kinfo.(o).k_slot <> kinfo.(w).k_slot then None
+            else Some (w, o))
+          (List.init nrefs Fun.id))
+      (List.sort_uniq compare !(env.e_wrefs))
+  in
+  let strip_code =
+    if
+      !(env.e_strip)
+      && List.for_all
+           (fun (w, o) -> kinfo.(w).k_flat = kinfo.(o).k_flat)
+           pairs
+    then Some (Array.map (strip_instr ~nrefs) body)
+    else None
+  in
+  let code = Array.map point_instr body in
+  (* a strip register holds one value for all lanes (step 0) when it is
+     a constant or a real scalar the body only reads *)
+  let rstep = Array.make nregs 1 in
+  Array.iter (fun (r, _) -> rstep.(r) <- 0) kregs;
+  Array.iter
+    (fun (i, r) -> if not (Hashtbl.mem env.e_wrscal i) then rstep.(r) <- 0)
+    sregs;
   let pre = Array.of_list (List.sort_uniq compare !(env.e_reads)) in
   let npre = Array.length pre in
   let ns = Array.length code in
@@ -1861,23 +2053,68 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                   !s)
                 kinfo
             in
-            let vals = Array.make m 0 in
-            let offs = Array.make nrefs 0 in
-            let regs = Array.copy reg_init in
-            for j = 0 to Array.length sregs - 1 do
-              let i, r = sregs.(j) in
-              regs.(r) <- st.sf.(i)
-            done;
-            let fr =
-              { fr_st = st; fr_adata = st.adata; fr_offs = offs;
-                fr_vals = vals; fr_regs = regs }
-            in
-            let kd =
-              Array.map (fun k -> k.k_flat.(m - 1) * steps.(m - 1)) kinfo
-            in
             let lom = los.(m - 1) in
             let stepm = steps.(m - 1) in
             let tm = trips.(m - 1) in
+            let kd = Array.map (fun k -> k.k_flat.(m - 1) * stepm) kinfo in
+            (* Row-strip legality, dynamic half.  A written reference and
+               another one to its array, [d] apart with row step [kd],
+               touch one element at two different points of a row when
+               [kd = 0 && d = 0], or when [d] is a nonzero multiple of
+               [kd] of fewer than [tm] steps: that row must run point by
+               point.  (Equal offsets at one point stay in body order.) *)
+            let scode =
+              match strip_code with
+              | Some c
+                when tm > 1
+                     && List.for_all
+                          (fun (w, o) ->
+                            let d = rbase.(w) - rbase.(o) and k = kd.(w) in
+                            not
+                              (if k = 0 then d = 0
+                               else d <> 0 && d mod k = 0 && abs (d / k) < tm))
+                          pairs ->
+                  c
+              | _ -> [||]
+            in
+            let strip = Array.length scode > 0 in
+            (* lanes per register: the row length, or one point *)
+            let w = if strip then tm else 1 in
+            let size = nregs * w in
+            if Array.length st.kregs < size then
+              st.kregs <- Array.make (max size (2 * Array.length st.kregs)) 0.0;
+            let regs = st.kregs in
+            for j = 0 to Array.length kregs - 1 do
+              let r, c = kregs.(j) in
+              regs.(r * w) <- c
+            done;
+            for j = 0 to Array.length sregs - 1 do
+              let i, r = sregs.(j) in
+              regs.(r * w) <- st.sf.(i)
+            done;
+            let vals = Array.make m 0 in
+            let offs = Array.make (nrefs + nregs) 0 in
+            let fr =
+              if strip then begin
+                let arrs = Array.make (nrefs + nregs) regs in
+                let osteps = Array.make (nrefs + nregs) 0 in
+                for r = 0 to nrefs - 1 do
+                  arrs.(r) <- st.adata.(kinfo.(r).k_slot);
+                  osteps.(r) <- kd.(r)
+                done;
+                for r = 0 to nregs - 1 do
+                  offs.(nrefs + r) <- r * w;
+                  osteps.(nrefs + r) <- rstep.(r)
+                done;
+                { fr_st = st; fr_adata = st.adata; fr_offs = offs;
+                  fr_vals = vals; fr_regs = regs; fr_arrs = arrs;
+                  fr_steps = osteps; fr_n = w }
+              end
+              else
+                { fr_st = st; fr_adata = st.adata; fr_offs = offs;
+                  fr_vals = vals; fr_regs = regs; fr_arrs = [||];
+                  fr_steps = [||]; fr_n = 1 }
+            in
             let rec go l =
               if l = m - 1 then begin
                 for r = 0 to nrefs - 1 do
@@ -1888,17 +2125,23 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
                   done;
                   offs.(r) <- !o
                 done;
-                vals.(m - 1) <- lom;
-                for _ = 1 to tm do
+                if strip then
                   for s = 0 to ns - 1 do
-                    (Array.unsafe_get code s) fr
-                  done;
-                  for r = 0 to nrefs - 1 do
-                    Array.unsafe_set offs r
-                      (Array.unsafe_get offs r + Array.unsafe_get kd r)
-                  done;
-                  vals.(m - 1) <- vals.(m - 1) + stepm
-                done
+                    (Array.unsafe_get scode s) fr
+                  done
+                else begin
+                  vals.(m - 1) <- lom;
+                  for _ = 1 to tm do
+                    for s = 0 to ns - 1 do
+                      (Array.unsafe_get code s) fr
+                    done;
+                    for r = 0 to nrefs - 1 do
+                      Array.unsafe_set offs r
+                        (Array.unsafe_get offs r + Array.unsafe_get kd r)
+                    done;
+                    vals.(m - 1) <- vals.(m - 1) + stepm
+                  done
+                end
               end
               else begin
                 vals.(l) <- los.(l);
@@ -1909,9 +2152,11 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
               end
             in
             go 0;
+            (* a written scalar's exit value is the last point's: its last
+               lane *)
             for j = 0 to Array.length wregs - 1 do
               let i, r = wregs.(j) in
-              st.sf.(i) <- regs.(r);
+              st.sf.(i) <- regs.((r * w) + w - 1);
               st.sset.(i) <- true
             done;
             (* batched charge: body flops per point times the trip-space
@@ -1924,6 +2169,8 @@ let kernel_of ctx (levels : Ast.do_loop list) (stmts : Ast.stmt list) :
             done;
             let total = !evals in
             st.flops <- st.flops +. float_of_int ((total * fpi) + !bfl);
+            if strip then
+              st.kstripped <- st.kstripped +. float_of_int (total * fpi);
             st.kmoved <- st.kmoved +. float_of_int (total * nrefs * 8);
             for l = 0 to m - 1 do
               var_stores.(l) st (los.(l) + (trips.(l) * steps.(l)))
@@ -1955,17 +2202,19 @@ let profiled idx nest =
   if idx < 0 then nest
   else
     fun st ->
-      let f0 = st.flops and b0 = st.kmoved in
+      let f0 = st.flops and b0 = st.kmoved and s0 = st.kstripped in
       let af0 = st.kattr_flops and ab0 = st.kattr_bytes in
+      let as0 = st.kattr_strip in
       nest st;
       let df = st.flops -. f0 and db = st.kmoved -. b0 in
-      let self_f = df -. (st.kattr_flops -. af0) in
-      let self_b = db -. (st.kattr_bytes -. ab0) in
+      let ds = st.kstripped -. s0 in
       st.kcalls.(idx) <- st.kcalls.(idx) + 1;
-      st.kflops.(idx) <- st.kflops.(idx) +. self_f;
-      st.kbytes.(idx) <- st.kbytes.(idx) +. self_b;
+      st.kflops.(idx) <- st.kflops.(idx) +. (df -. (st.kattr_flops -. af0));
+      st.kbytes.(idx) <- st.kbytes.(idx) +. (db -. (st.kattr_bytes -. ab0));
+      st.kstrip.(idx) <- st.kstrip.(idx) +. (ds -. (st.kattr_strip -. as0));
       st.kattr_flops <- af0 +. df;
-      st.kattr_bytes <- ab0 +. db
+      st.kattr_bytes <- ab0 +. db;
+      st.kattr_strip <- as0 +. ds
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                               *)
@@ -2373,9 +2622,13 @@ let create ?(hooks = sequential_hooks) ?(input = []) cu =
       kcalls = Array.make ncov 0;
       kflops = Array.make ncov 0.0;
       kbytes = Array.make ncov 0.0;
+      kstrip = Array.make ncov 0.0;
       kmoved = 0.0;
+      kstripped = 0.0;
       kattr_flops = 0.0;
       kattr_bytes = 0.0;
+      kattr_strip = 0.0;
+      kregs = [||];
     }
   in
   List.iter
@@ -2397,6 +2650,7 @@ let run st =
 let unit_of st = st.cu.cu_unit
 let flops st = st.flops
 let reset_flops st = st.flops <- 0.0
+let strip_flops st = st.kstripped
 let output st = List.rev st.out_rev
 
 type kernel_stat = {
@@ -2408,6 +2662,7 @@ type kernel_stat = {
   ks_calls : int;
   ks_flops : float;
   ks_bytes : float;
+  ks_strip_flops : float;
 }
 
 let kernel_stats st =
@@ -2422,6 +2677,7 @@ let kernel_stats st =
         ks_calls = st.kcalls.(i);
         ks_flops = st.kflops.(i);
         ks_bytes = st.kbytes.(i);
+        ks_strip_flops = st.kstrip.(i);
       })
     st.cu.cu_cov
 

@@ -10,8 +10,28 @@
     statically-untypeable expression).  Without flambda, each real
     expression closure of this IR returns a boxed float.  The fused tier
     ([~fuse:true]) does not: its kernels run flat instruction arrays over
-    a per-execution float register file and allocate nothing per
+    a float register file owned by the state, and allocate nothing per
     iteration.
+
+    A fused kernel runs each innermost row either point by point (every
+    instruction once per point) or as a row strip (every instruction
+    once per row, looping over the row's points itself, so dispatch
+    costs one call per instruction and row).  Strips reorder
+    instructions across the points of a row, never the float operations
+    of one point, so the choice never changes a result.  A nest gets
+    strip code when no integer value in its body depends on the
+    innermost variable (the variable is not read as a value, no integer
+    scalar is assigned, no float is truncated), no real scalar is read
+    before the body assigns it (a reduction), and all references to
+    each written array share their per-level flat coefficients.  At
+    nest entry a row then runs as strips unless it has one point, or a
+    written reference and another one to its array are [d] elements
+    apart with row step [kd] where [kd = 0 && d = 0], or [d] is a
+    nonzero multiple of [kd] of fewer steps than the row has points.
+    Gauss-Seidel sweeps and reductions therefore stay on the point
+    path, which keeps its own instructions: strips of length one
+    measured about 30% slower on the cavity run, whose flops are mostly
+    such sweeps.
 
     Semantics — results, WRITE output, flop charges, runtime-error messages,
     GOTO/label behavior — are bit-identical to {!Machine} running the same
@@ -141,6 +161,9 @@ type kernel_stat = {
   ks_calls : int;  (** nest executions on this state *)
   ks_flops : float;  (** self flops (inner profiled nests excluded) *)
   ks_bytes : float;  (** bytes moved by the fused kernel (0 on fallback) *)
+  ks_strip_flops : float;
+      (** the part of [ks_flops] the fused kernel ran as row strips
+          (loop-bound charges excluded) *)
 }
 (** Per-nest execution profile of one state, one entry per {!coverage}
     entry (same order).  Maintained whenever the unit was compiled with
@@ -162,6 +185,11 @@ val run : state -> unit
 val unit_of : state -> Ast.program_unit
 val flops : state -> float
 val reset_flops : state -> unit
+
+val strip_flops : state -> float
+(** Body flops the fused kernels of this state ran as row strips (a part
+    of {!flops}; loop-bound charges excluded). *)
+
 val output : state -> string list
 val scalar : state -> string -> Value.scalar
 val scalar_opt : state -> string -> Value.scalar option

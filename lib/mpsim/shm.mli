@@ -6,7 +6,8 @@
     module provides the same rendezvous vocabulary over real mutexes and
     condition variables, timed with the wall clock:
 
-    - {!barrier} is a sense-reversing mutex/condvar barrier;
+    - {!barrier} counts arrivals atomically; a waiter spins briefly, then
+      parks on the condvar (it spins only when every rank has a core);
     - {!allreduce} is deterministic: every rank folds the contributed
       values in rank order 0..n-1 with exactly {!Sim}'s combine order, so
       a [Domains] run is bit-identical to a simulated one;
@@ -16,8 +17,8 @@
 
     Fields of the executed program need no marshalling: OCaml 5 domains
     share one heap, so a plain [float array] written before a barrier is
-    readable by every other rank after it (the barrier's mutex provides
-    the happens-before edge).
+    readable by every other rank after it (the barrier's atomics and
+    mutex provide the happens-before edge).
 
     Every blocking wait is measured ({!rank_stats}); barrier-wait samples
     feed the observability layer's histograms and the per-rank blocked
@@ -37,8 +38,13 @@ val rank : comm -> int
 val nranks : comm -> int
 
 val barrier : comm -> unit
-(** Sense-reversing barrier across all ranks.  The wait (if any) is
-    recorded as a barrier-wait sample. *)
+(** Barrier across all ranks: an atomic arrival counter and generation.
+    A waiter spins with [Domain.cpu_relax] for a bounded time when
+    [nranks <= Domain.recommended_domain_count ()], then sleeps on the
+    condvar.  The wait (if any) is recorded as a barrier-wait sample.
+    When another rank fails, spinners and sleepers alike are woken and
+    unwound: no rank returns from a barrier the failed rank did not
+    reach. *)
 
 val allreduce : comm -> [ `Max | `Min | `Sum ] -> float -> float
 (** Global reduction; every rank receives the combined value.  The fold

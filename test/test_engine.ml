@@ -516,6 +516,11 @@ let pos_opnd rng = function
   | Kelt -> Printf.sprintf "p(%s,%s)" (near rng "i") (near rng "j")
 
 let kinds = [| Kreg; Kelt |]
+
+let has_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 let unops = [| "-"; "abs"; "sqrt"; "exp"; "log"; "sin"; "cos"; "tan"; "atan" |]
 
 let binops =
@@ -576,8 +581,11 @@ let all_triples =
 (* one coverage-nest body, as items of lines; [`Sink e] stores [e] into
    the next slice of d (an array-element destination), [`Scratch e]
    assigns it to scalar u (a register destination) and then copies u
-   into d *)
-let gen_cover_items rng =
+   into d.  With [~strip:true] the body is also legal as row strips
+   (DESIGN.md §9): no integer value depends on the innermost variable j,
+   nothing is truncated with [int()], and the arrays it reads are never
+   rewritten *)
+let gen_cover_items ?(strip = false) rng =
   let items = ref [] in
   let add it = items := it :: !items in
   let sink e = `Sink e and scratch e = `Scratch e in
@@ -615,11 +623,20 @@ let gen_cover_items rng =
       (* loop-variable arithmetic promoted to real *)
       add
         (d
-           (Printf.sprintf "%s %s 2*j" (op [| "i"; "3" |])
-              (op [| "+"; "-"; "*" |]))))
+           (Printf.sprintf "%s %s 2*%s" (op [| "i"; "3" |])
+              (op [| "+"; "-"; "*" |])
+              (if strip then "i" else "j"))))
     [ sink; scratch ];
   (* the named shapes *)
+  let lane_invariant e =
+    if not strip then Some e
+    else if has_sub e "int(" then None
+    else if has_sub e "float(i - j)" then
+      Some (String.sub e 0 (String.length e - 2) ^ "3)")
+    else Some e
+  in
   List.iter dst
+    @@ List.filter_map lane_invariant
     [
       Printf.sprintf "%s / (2.0 + abs(%s))" (x ()) (x ());
       Printf.sprintf "%s ** 2" (x ());
@@ -639,22 +656,24 @@ let gen_cover_items rng =
       Printf.sprintf "-%s * float(i - j)" (x ());
     ];
   (* bounded rewrites of the arrays the body reads *)
-  add
-    (`Line
-       (Printf.sprintf "a(i,j) = sin(%s)"
-          (gen_left rng (op arith) (op arith) (k (), k (), k ()))));
-  add (`Line "b(i,j) = max(a(i-1,j), b(i,j+1), c(i))");
-  add
-    (`Line
-       (Printf.sprintf "c(i) = cos(%s)"
-          (gen_binop rng (op binops) (k ()) (k ()))));
-  add (`Line "a(i+1,j) = sign(c(i), t1 - 0.5)");
+  if not strip then begin
+    add
+      (`Line
+         (Printf.sprintf "a(i,j) = sin(%s)"
+            (gen_left rng (op arith) (op arith) (k (), k (), k ()))));
+    add (`Line "b(i,j) = max(a(i-1,j), b(i,j+1), c(i))");
+    add
+      (`Line
+         (Printf.sprintf "c(i) = cos(%s)"
+            (gen_binop rng (op binops) (k ()) (k ()))));
+    add (`Line "a(i+1,j) = sign(c(i), t1 - 0.5)")
+  end;
   let items = Array.of_list (List.rev !items) in
   Prng.shuffle rng items;
   items
 
-let gen_cover_program rng =
-  let items = gen_cover_items rng in
+let gen_cover_program ?strip rng =
+  let items = gen_cover_items ?strip rng in
   let body = Buffer.create 8192 in
   let nk = ref 0 in
   let line s = Buffer.add_string body ("          " ^ s ^ "\n") in
@@ -698,44 +717,46 @@ let gen_cover_program rng =
   add "      end\n";
   Buffer.contents buf
 
+(* Tree = Compiled = Fused on one generated coverage program, whose
+   values stay finite and whose nests all fuse *)
+let check_cover_program name src =
+  try
+    let t = D.load src in
+    let tree = D.run_seq ~spec:(R.with_engine I.Spmd.Tree R.default) t in
+    List.iter
+      (fun (n, (arr : I.Value.arr)) ->
+        Array.iteri
+          (fun o x ->
+            if not (Float.is_finite x) then
+              Alcotest.failf "%s: %s holds a non-finite value at offset %d"
+                name n o)
+          arr.I.Value.data)
+      tree.D.sq_arrays;
+    check_sequential name src;
+    let cov = I.Compile.coverage (I.Compile.of_unit ~fuse:true t.D.inlined) in
+    List.iter
+      (fun (ce : I.Compile.coverage_entry) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: line %d fused" name ce.I.Compile.cov_line)
+          "fused"
+          (I.Compile.reason_to_string ce.I.Compile.cov_reason))
+      cov;
+    Alcotest.(check bool) (name ^ ": has a fused nest") true (cov <> [])
+  with e ->
+    Printf.eprintf "--- failing program (%s) ---\n%s\n" name src;
+    raise e
+
 let test_random_cover_nests () =
   let rng = Prng.create 0xc0de5 in
   for case = 1 to 8 do
     let src = gen_cover_program (Prng.split rng) in
-    let name = Printf.sprintf "coverage nest %d" case in
-    (try
-       let t = D.load src in
-       let tree = D.run_seq ~spec:(R.with_engine I.Spmd.Tree R.default) t in
-       List.iter
-         (fun (n, (arr : I.Value.arr)) ->
-           Array.iteri
-             (fun o x ->
-               if not (Float.is_finite x) then
-                 Alcotest.failf "%s: %s holds a non-finite value at offset %d"
-                   name n o)
-             arr.I.Value.data)
-         tree.D.sq_arrays;
-       check_sequential name src;
-       let cov =
-         I.Compile.coverage (I.Compile.of_unit ~fuse:true t.D.inlined)
-       in
-       List.iter
-         (fun (ce : I.Compile.coverage_entry) ->
-           Alcotest.(check string)
-             (Printf.sprintf "%s: line %d fused" name ce.I.Compile.cov_line)
-             "fused"
-             (I.Compile.reason_to_string ce.I.Compile.cov_reason))
-         cov;
-       Alcotest.(check bool) (name ^ ": has a fused nest") true (cov <> [])
-     with e ->
-       Printf.eprintf "--- failing program (%s) ---\n%s\n" name src;
-       raise e)
+    check_cover_program (Printf.sprintf "coverage nest %d" case) src
   done
 
 (* two states of one compiled unit, running at the same time on two
    domains, must each match a run on its own: the fused tier's register
-   file and frame belong to one nest execution and are never reached
-   through the shared unit *)
+   file belongs to one state and its frame to one nest execution, and
+   neither is reached through the shared unit *)
 let test_fused_concurrent_states () =
   let t =
     D.load (Autocfd_apps.Aerofoil.source ~ni:24 ~nj:12 ~nk:8 ~ntime:4 ())
@@ -788,6 +809,169 @@ let test_fused_allocation () =
       ("sprayer", Autocfd_apps.Sprayer.source ~ni:80 ~nj:40 ~ntime:4 ());
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Row strips: legality and instruction coverage                       *)
+(* ------------------------------------------------------------------ *)
+
+(* each fused nest of a sequential fused run, in program order: [true]
+   when all its body flops ran as row strips, [false] when none did *)
+let strip_choices src =
+  let t = D.load src in
+  let st = I.Compile.create (I.Compile.of_unit ~fuse:true t.D.inlined) in
+  I.Compile.run st;
+  List.filter_map
+    (fun (k : I.Compile.kernel_stat) ->
+      let line = k.I.Compile.ks_line and sf = k.I.Compile.ks_strip_flops in
+      if not k.I.Compile.ks_fused then None
+      else if k.I.Compile.ks_flops = 0.0 then
+        Alcotest.failf "line %d: a nest without flops" line
+      else if sf = 0.0 then Some false
+      else if sf = k.I.Compile.ks_flops then Some true
+      else
+        Alcotest.failf "line %d: %g of %g flops ran as strips" line sf
+          k.I.Compile.ks_flops)
+    (I.Compile.kernel_stats st)
+
+(* one targeted nest after two point-by-point initialisations (they read
+   their innermost variable as a value) *)
+let legality_program nest =
+  String.concat "\n"
+    ([
+       "c$acfd grid(n, n)";
+       "c$acfd status(a, b)";
+       "      program legal";
+       "      parameter (n = 10)";
+       "      real a(n,n), b(n,n), q(n,n,2), s(n), e, w(300,2), t";
+       "      integer i, j, k";
+       "      e = 0.0";
+       "      t = 0.0";
+       "      do j = 1, 2";
+       "        do i = 1, 300";
+       "          w(i,j) = 0.001*float(i+j)";
+       "        enddo";
+       "      enddo";
+       "      do j = 1, n";
+       "        do i = 1, n";
+       "          a(i,j) = 0.5 + 0.01*float(i*j)";
+       "          b(i,j) = 0.25 - 0.02*float(i+j)";
+       "          q(i,j,1) = 0.1*float(i-j)";
+       "          q(i,j,2) = 0.3 + 0.05*float(j)";
+       "        enddo";
+       "        s(j) = 0.125*float(j)";
+       "      enddo";
+     ]
+    @ List.map (fun l -> "      " ^ l) nest
+    @ [
+        "      write(*,*) a(5,5), a(9,9), b(4,6), q(7,3,1), s(4), e";
+        "      write(*,*) w(1,1), w(129,1), w(300,2), t";
+        "      end";
+        "";
+      ])
+
+let legality_cases =
+  [
+    ( "innermost Gauss-Seidel recurrence", false,
+      [
+        "do j = 2, n - 1";
+        "  do i = 2, n - 1";
+        "    a(i,j) = 0.25*(a(i-1,j) + a(i+1,j) + a(i,j-1) + a(i,j+1))";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "anti-dependence a(k) = a(k+1)", false,
+      [
+        "do j = 1, n";
+        "  do k = 1, n - 1";
+        "    a(k,j) = a(k+1,j)*0.5 + b(k,j)";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "written element fixed along the row", false,
+      [
+        "do i = 1, n";
+        "  do k = 1, n";
+        "    s(i) = s(i) + b(i,k)*0.5";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "planes of one array that do not overlap", true,
+      [
+        "do j = 1, n";
+        "  do i = 2, n";
+        "    q(i,j,1) = q(i,j,1) + q(i,j,2)*0.5 + q(i-1,j,2)";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "max reduction", false,
+      [
+        "do j = 1, n";
+        "  do i = 1, n";
+        "    b(i,j) = a(i,j)*2.0 - 1.0";
+        "    e = max(e, abs(b(i,j)))";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "red-black row: neighbours an odd distance apart", true,
+      [
+        "do j = 2, n - 1";
+        "  do i = 2, n - 1, 2";
+        "    a(i,j) = 0.5*(a(i-1,j) + a(i+1,j)) + 0.1*a(i,j-1)";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "a truncated float", false,
+      [
+        "do j = 1, n";
+        "  do i = 1, n";
+        "    b(i,j) = float(int(3.0*a(i,j))) + a(i,j)";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "long rows, a scalar written then read", true,
+      [
+        "do j = 1, 2";
+        "  do i = 2, 300";
+        "    t = w(i,j)*0.5 + q(2,2,2)";
+        "    w(i,j) = t*0.25 + 1.0";
+        "  enddo";
+        "enddo";
+      ] );
+    ( "a row of one point", false,
+      [
+        "do j = 1, n";
+        "  do i = 3, 3";
+        "    b(i,j) = a(i,j) + 1.0";
+        "  enddo";
+        "enddo";
+      ] );
+  ]
+
+let test_strip_legality () =
+  List.iter
+    (fun (name, strip, nest) ->
+      let src = legality_program nest in
+      check_sequential name src;
+      Alcotest.(check (list bool))
+        (Printf.sprintf "%s: %s" name
+           (if strip then "row strips" else "point by point"))
+        [ false; false; strip ] (strip_choices src))
+    legality_cases
+
+(* the strip variant of the instruction-coverage suite: every body also
+   runs its nest as row strips, so every strip instruction shape meets
+   every operand kind (an element, a per-lane register, a register that
+   holds one value for all lanes) *)
+let test_random_strip_cover_nests () =
+  let rng = Prng.create 0x57a1b in
+  for case = 1 to 6 do
+    let src = gen_cover_program ~strip:true (Prng.split rng) in
+    let name = Printf.sprintf "strip coverage nest %d" case in
+    check_cover_program name src;
+    match List.rev (strip_choices src) with
+    | body :: _ -> Alcotest.(check bool) (name ^ ": row strips") true body
+    | [] -> Alcotest.failf "%s: no fused nest" name
+  done
+
 let suite =
   [
     ("sprayer engines identical", `Slow, test_sprayer);
@@ -805,4 +989,8 @@ let suite =
     ("random nests cover every instruction", `Slow, test_random_cover_nests);
     ("fused states run concurrently", `Quick, test_fused_concurrent_states);
     ("fused kernels allocation-free", `Quick, test_fused_allocation);
+    ("row strips: legality on targeted nests", `Quick, test_strip_legality);
+    ( "random nests cover every strip instruction",
+      `Slow,
+      test_random_strip_cover_nests );
   ]

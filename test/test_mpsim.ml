@@ -411,6 +411,38 @@ let test_waitall_duplicate_request_rejected () =
         [ "send(dest=1, tag=3)"; "already completed" ]
   | _ -> Alcotest.fail "expected Invalid_argument on rank 0"
 
+(* a rank that raises while its peers wait in a Shm barrier: every
+   waiter, spinning (the failure comes at once) or parked on the condvar
+   (it comes after a sleep), must be woken and unwound, and the run must
+   raise Rank_failure instead of hanging.  No waiter may return from the
+   barrier the failed rank never reached *)
+let test_shm_barrier_poison () =
+  List.iter
+    (fun (nranks, delay) ->
+      let what = Printf.sprintf "%d ranks, failure after %g s" nranks delay in
+      let passed = Atomic.make 0 in
+      match
+        Shm.run ~nranks (fun c ->
+            Shm.barrier c;
+            if Shm.rank c = nranks - 1 then begin
+              Unix.sleepf delay;
+              failwith "boom"
+            end
+            else begin
+              Shm.barrier c;
+              Atomic.incr passed
+            end)
+      with
+      | exception Shm.Rank_failure (r, Failure _) ->
+          Alcotest.(check int) (what ^ ": failing rank") (nranks - 1) r;
+          Alcotest.(check int)
+            (what ^ ": ranks past the unfinished barrier")
+            0 (Atomic.get passed)
+      | exception e ->
+          Alcotest.failf "%s: unexpected %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: the run did not fail" what)
+    [ (2, 0.0); (2, 0.05); (3, 0.0); (3, 0.05) ]
+
 let suite =
   [
     ("send/recv", `Quick, test_send_recv);
@@ -439,4 +471,5 @@ let suite =
     ("wait error names request", `Quick, test_wait_error_names_request);
     ( "waitall duplicate request rejected", `Quick,
       test_waitall_duplicate_request_rejected );
+    ("shm barrier unwinds on rank failure", `Quick, test_shm_barrier_poison);
   ]
